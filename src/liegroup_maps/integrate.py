@@ -25,9 +25,7 @@ from .core import ChartDomainError, pose_inverse
 from .se3 import (
     se3_cay,
     se3_dcay_inv,
-    se3_ddcay_inv,
     se3_ddcay_inv_tangent,
-    se3_ddexp_inv,
     se3_ddexp_inv_tangent,
     se3_dexp_inv,
     se3_exp,
@@ -76,27 +74,26 @@ class CoordinateMap:
     ``dmap_inv`` maps a body/spatial twist to the coordinate rate; its value
     at zero is the identity for the exponential chart and half the identity
     for the Cayley chart (whose differential at zero is twice the identity).
-    ``ddmap_inv(x, u)`` is the directional derivative of ``dmap_inv`` at x
-    along u; ``ddmap_inv_tangent(x, v)`` assembles all six basis directions
-    contracted with a fixed twist in one pass (the curvature block of
-    implicit tangent matrices).  ``dmap_inv_zero`` caches ``dmap_inv(0)``.
+    ``ddmap_inv_tangent(x, v)`` assembles the directional derivatives of
+    ``dmap_inv`` at x along all six basis directions, contracted with a
+    fixed twist, in one pass (the curvature block of implicit tangent
+    matrices).  ``dmap_inv_zero`` caches ``dmap_inv(0)``.
     """
 
     kind: str
     value: Callable[[np.ndarray], np.ndarray]
     dmap_inv: Callable[[np.ndarray], np.ndarray]
-    ddmap_inv: Callable[[np.ndarray, np.ndarray], np.ndarray]
     ddmap_inv_tangent: Callable[[np.ndarray, np.ndarray], np.ndarray]
     dmap_inv_zero: np.ndarray
 
 
 def exponential_map() -> CoordinateMap:
-    return CoordinateMap("exponential", se3_exp, se3_dexp_inv, se3_ddexp_inv,
+    return CoordinateMap("exponential", se3_exp, se3_dexp_inv,
                          se3_ddexp_inv_tangent, np.eye(6))
 
 
 def cayley_map() -> CoordinateMap:
-    return CoordinateMap("cayley", se3_cay, se3_dcay_inv, se3_ddcay_inv,
+    return CoordinateMap("cayley", se3_cay, se3_dcay_inv,
                          se3_ddcay_inv_tangent, 0.5 * np.eye(6))
 
 
@@ -307,17 +304,6 @@ def _midpoint_jacobian(cmap: CoordinateMap, field: TwistField,
         jacobian[:6, j] -= h * (dmap_mat @ (twist_up - twist)) / fd_step
         jacobian[6:, j] -= h * (rate_up - aux_rate) / fd_step
     return jacobian
-
-
-def _midpoint_system(cmap: CoordinateMap, field: TwistField, pose: np.ndarray,
-                     t: float, h: float, aux: np.ndarray, state: np.ndarray,
-                     fd_step: float = 1e-7):
-    """Residual and Newton Jacobian of the implicit-midpoint equations."""
-    residual, twist, aux_rate, mid_pose, dmap_mat = _midpoint_residual(
-        cmap, field, pose, t, h, aux, state)
-    jacobian = _midpoint_jacobian(cmap, field, pose, t, h, aux, state, twist,
-                                  aux_rate, mid_pose, dmap_mat, fd_step)
-    return residual, jacobian
 
 
 def implicit_midpoint_step(cmap: CoordinateMap, field: TwistField,

@@ -15,7 +15,9 @@ singularities at phi = 0 and severe subtractive cancellation in their naive
 closed forms at small and moderate angles, so each kernel is evaluated on two
 branches:
 
-* a frozen even Taylor polynomial in s = phi**2 below a switch point, and
+* an even 30-term Taylor polynomial in s = phi**2 below a switch point,
+  whose coefficients are derived at import from exact rationals and rounded
+  once to double precision, and
 * a cancellation-free trigonometric expression above it.
 
 Two different switch points are in play.  The four primary ratios (alpha,
@@ -29,18 +31,15 @@ accuracy measure.  That window is not a seam and deliberately ignores
 
 ``gamma`` and ``inv_beta`` (and everything derived from them) have genuine
 poles at phi = 2*pi: the inverse differential of the rotation exponential
-does not exist there.  Accessing those members at or beyond
-``DEXPINV_DOMAIN_LIMIT`` raises :class:`~liegroup_maps.core.ChartDomainError`;
-the (alpha, beta, delta) sub-bundle stays available at any angle.
+does not exist there.  :func:`ensure_dexp_inv_domain` raises
+:class:`~liegroup_maps.core.ChartDomainError` at or beyond
+``DEXPINV_DOMAIN_LIMIT``; alpha, beta and delta are defined at any angle.
 """
 
 from __future__ import annotations
 
 import math
 from contextlib import contextmanager
-from dataclasses import dataclass
-
-import numpy as np
 
 from .core import ChartDomainError
 
@@ -48,9 +47,6 @@ __all__ = [
     "SMALL_ANGLE_THRESHOLD",
     "SERIES_WINDOW",
     "DEXPINV_DOMAIN_LIMIT",
-    "TrigCoeffs",
-    "trig_coeffs",
-    "trig_coeff_derivs",
     "force_branch",
     "ensure_dexp_inv_domain",
 ]
@@ -87,524 +83,118 @@ def ensure_dexp_inv_domain(phi: float) -> None:
 
 
 # ---------------------------------------------------------------------------
-# Frozen even Taylor coefficients in s = phi**2.  Generated offline from the
-# exact rational expansions and rounded once to double precision.
+# Even Taylor coefficients in s = phi**2, derived at import from exact
+# rationals.  Each table is an integer multiple of a shifted run of one of
+# four base series, held as (numerator, denominator) integer pairs; every
+# coefficient is one int/int true division, which Python rounds correctly,
+# so each double is its exact rational rounded once.
 # ---------------------------------------------------------------------------
 
+_TERMS = 30
+
+
+def _tangent_numbers(n: int) -> list[int]:
+    """[0, T_1, ..., T_n] with tan(x) = sum_k T_k x**(2k-1)/(2k-1)!.
+
+    Integer-only recurrence of Brent & Harvey, "Fast computation of
+    Bernoulli, Tangent and Secant numbers", arXiv:1108.0286.
+    """
+    t = [0, 1] + [0] * (n - 1)
+    for k in range(2, n + 1):
+        t[k] = (k - 1) * t[k - 1]
+    for k in range(2, n + 1):
+        for j in range(k, n + 1):
+            t[j] = (j - k) * t[j - 1] + (j - k + 2) * t[j]
+    return t
+
+
+def _base_series(n: int):
+    """The first n coefficients of sin(phi)/phi, beta, gamma and phi/sin(phi).
+
+    The coefficients of gamma, (-1)**k B_2k/(2k)!, and of phi/sin(phi),
+    (-1)**(k+1) (4**k - 2) B_2k/(2k)!, are written in tangent numbers
+    through B_2k = (-1)**(k-1) 2k T_k / (4**k (4**k - 1)).
+    """
+    fact = math.factorial
+    tangent = _tangent_numbers(n - 1)
+    sinc = [((-1) ** k, fact(2 * k + 1)) for k in range(n)]
+    beta = [(2 * (-1) ** k, fact(2 * k + 2)) for k in range(n)]
+    dens = [4**k * (4**k - 1) * fact(2 * k - 1) for k in range(1, n)]
+    gamma = [(1, 1)] + [(-tangent[k], d) for k, d in enumerate(dens, 1)]
+    inv_sinc = [(1, 1)] + [((4**k - 2) * tangent[k], d)
+                           for k, d in enumerate(dens, 1)]
+    return sinc, beta, gamma, inv_sinc
+
+
+# The deepest table reads three terms past _TERMS.
+_SINC, _BETA, _GAMMA, _INV_SINC = _base_series(_TERMS + 3)
+
+
+def _series(base, shift: int = 0, scale=lambda k: 1) -> tuple[float, ...]:
+    """Coefficients scale(k) * base[k + shift] for k < _TERMS."""
+    return tuple(scale(k) * num / den
+                 for k, (num, den) in enumerate(base[shift:shift + _TERMS]))
+
+
+# Two identities give every derived table its integer scale:
+# * a radial rate (1/phi) d/dphi is 2 d/ds, mapping coefficients c[k] of a
+#   series to 2 (k+1) c[k+1];
+# * 1/beta = gamma - 2 s dgamma/ds, so inv_beta has coefficients (1-2k) g[k].
+
 # sin(phi)/phi
-_SINC_SERIES = (
-    1.0,
-    -0.16666666666666666,
-    0.008333333333333333,
-    -0.0001984126984126984,
-    2.7557319223985893e-06,
-    -2.505210838544172e-08,
-    1.6059043836821613e-10,
-    -7.647163731819816e-13,
-    2.8114572543455206e-15,
-    -8.22063524662433e-18,
-    1.9572941063391263e-20,
-    -3.868170170630684e-23,
-    6.446950284384474e-26,
-    -9.183689863795546e-29,
-    1.1309962886447716e-31,
-    -1.216125041553518e-34,
-    1.151633562077195e-37,
-    -9.67759295863189e-41,
-    7.265460179153071e-44,
-    -4.902469756513544e-47,
-    2.9893108271424046e-50,
-    -1.6552108677421951e-53,
-    8.359650847182804e-57,
-    -3.866628513960594e-60,
-    1.643974708316579e-63,
-    -6.446959640457172e-67,
-    2.3392451525606576e-70,
-    -7.876246304918039e-74,
-    2.4674957095607893e-77,
-    -7.2106829618959365e-81,
-)
+_SINC_SERIES = _series(_SINC)
 
 # (sin(phi/2)/(phi/2))**2
-_SINC_SQ_HALF_SERIES = (
-    1.0,
-    -0.08333333333333333,
-    0.002777777777777778,
-    -4.96031746031746e-05,
-    5.511463844797178e-07,
-    -4.17535139757362e-09,
-    2.294149119545945e-11,
-    -9.55895466477477e-14,
-    3.123841393717245e-16,
-    -8.22063524662433e-19,
-    1.779358278490115e-21,
-    -3.2234751421922368e-24,
-    4.959192526449595e-27,
-    -6.559778474139676e-30,
-    7.539975257631811e-33,
-    -7.600781509709487e-36,
-    6.774315071042324e-39,
-    -5.3764405325732727e-42,
-    3.823926410080564e-45,
-    -2.4512348782567717e-48,
-    1.4234813462582878e-51,
-    -7.523685762464523e-55,
-    3.634630803122958e-58,
-    -1.6110952141502473e-61,
-    6.575898833266316e-65,
-    -2.4795998617142972e-68,
-    8.663870935409844e-72,
-    -2.8129451088992996e-75,
-    8.508605895037204e-79,
-    -2.4035609872986452e-82,
-)
+_SINC_SQ_HALF_SERIES = _series(_BETA)
 
 # (phi/2)*cot(phi/2)   (poles at 2*pi: series radius 2*pi)
-_COT_HALF_SCALED_SERIES = (
-    1.0,
-    -0.08333333333333333,
-    -0.001388888888888889,
-    -3.306878306878307e-05,
-    -8.267195767195768e-07,
-    -2.08767569878681e-08,
-    -5.284190138687493e-10,
-    -1.3382536530684679e-11,
-    -3.3896802963225827e-13,
-    -8.586062056277845e-15,
-    -2.174868698558062e-16,
-    -5.5090028283602295e-18,
-    -1.3954464685812522e-19,
-    -3.534707039629467e-21,
-    -8.953517427037546e-23,
-    -2.267952452337683e-24,
-    -5.744790668872202e-26,
-    -1.455172475614865e-27,
-    -3.6859949406653103e-29,
-    -9.336734257095045e-31,
-    -2.36502241570063e-32,
-    -5.990671762482134e-34,
-    -1.5174548844682903e-35,
-    -3.843758125454189e-37,
-    -9.736353072646691e-39,
-    -2.466247044200681e-40,
-    -6.247076741820743e-42,
-    -1.5824030244644914e-43,
-    -4.008273685948936e-45,
-    -1.0153075855569557e-46,
-)
+_COT_HALF_SCALED_SERIES = _series(_GAMMA)
 
 # ((phi/2)/sin(phi/2))**2   (poles at 2*pi)
-_INV_SINC_SQ_HALF_SERIES = (
-    1.0,
-    0.08333333333333333,
-    0.004166666666666667,
-    0.00016534391534391533,
-    5.787037037037037e-06,
-    1.8789081289081288e-07,
-    5.812609152556243e-09,
-    1.7397297489890083e-10,
-    5.084520444483875e-12,
-    1.4596305495672335e-13,
-    4.1322505272603176e-15,
-    1.1568905939556482e-16,
-    3.2095268777368804e-18,
-    8.836767599073669e-20,
-    2.4174497053001377e-21,
-    6.577062111779281e-23,
-    1.780885107350383e-24,
-    4.8020691695290543e-26,
-    1.2900982292328585e-27,
-    3.454591675125167e-29,
-    9.223587421232456e-31,
-    2.456175422617675e-32,
-    6.525056003213648e-34,
-    1.7296911564543848e-35,
-    4.5760859441439445e-37,
-    1.2084610516583336e-38,
-    3.1860091383285793e-40,
-    8.386736029661804e-42,
-    2.2045505272719146e-43,
-    5.787253237674647e-45,
-)
+_INV_SINC_SQ_HALF_SERIES = _series(_GAMMA, 0, lambda k: 1 - 2 * k)
 
 # (1 - alpha)/phi**2: quadratic coefficient of the exponential differential
-_DEXP_QUAD_SERIES = (
-    0.16666666666666666,
-    -0.008333333333333333,
-    0.0001984126984126984,
-    -2.7557319223985893e-06,
-    2.505210838544172e-08,
-    -1.6059043836821613e-10,
-    7.647163731819816e-13,
-    -2.8114572543455206e-15,
-    8.22063524662433e-18,
-    -1.9572941063391263e-20,
-    3.868170170630684e-23,
-    -6.446950284384474e-26,
-    9.183689863795546e-29,
-    -1.1309962886447716e-31,
-    1.216125041553518e-34,
-    -1.151633562077195e-37,
-    9.67759295863189e-41,
-    -7.265460179153071e-44,
-    4.902469756513544e-47,
-    -2.9893108271424046e-50,
-    1.6552108677421951e-53,
-    -8.359650847182804e-57,
-    3.866628513960594e-60,
-    -1.643974708316579e-63,
-    6.446959640457172e-67,
-    -2.3392451525606576e-70,
-    7.876246304918039e-74,
-    -2.4674957095607893e-77,
-    7.2106829618959365e-81,
-    -1.9701319568021682e-84,
-)
+_DEXP_QUAD_SERIES = _series(_SINC, 1, lambda k: -1)
 
 # (alpha - beta)/phi**2: radial rate of beta/2, limit -1/12
-_DEXP_LIN_RATE_SERIES = (
-    -0.08333333333333333,
-    0.005555555555555556,
-    -0.00014880952380952382,
-    2.204585537918871e-06,
-    -2.08767569878681e-08,
-    1.376489471727567e-10,
-    -6.691268265342339e-13,
-    2.499073114973796e-15,
-    -7.398571721961897e-18,
-    1.7793582784901146e-20,
-    -3.54582265641146e-23,
-    5.951031031739514e-26,
-    -8.527712016381578e-29,
-    1.0555965360684537e-31,
-    -1.140117226456423e-34,
-    1.0838904113667718e-37,
-    -9.139948905374564e-41,
-    6.883067538145015e-44,
-    -4.657346268687866e-47,
-    2.8469626925165756e-50,
-    -1.57997401011755e-53,
-    7.996187766870509e-57,
-    -3.705518992545569e-60,
-    1.5782157199839158e-63,
-    -6.198999654285743e-67,
-    2.2526064432065593e-70,
-    -7.59495179402811e-74,
-    2.382409650610417e-77,
-    -6.9703268631660715e-81,
-    1.9065793130343564e-84,
-)
+_DEXP_LIN_RATE_SERIES = _series(_BETA, 1, lambda k: k + 1)
 
 # (beta/2 - 3*delta)/phi**2: radial rate of delta, limit -1/60
-_DEXP_QUAD_RATE_SERIES = (
-    -0.016666666666666666,
-    0.0007936507936507937,
-    -1.6534391534391536e-05,
-    2.0041686708353376e-07,
-    -1.6059043836821615e-09,
-    9.17659647818378e-12,
-    -3.936040156083729e-14,
-    1.3153016394598927e-16,
-    -3.523129391410427e-19,
-    7.736340341261368e-22,
-    -1.4183290625645841e-24,
-    2.204085567310931e-27,
-    -2.9405903504764064e-30,
-    3.4051501163498504e-33,
-    -3.4549006862315854e-36,
-    3.096829746762205e-39,
-    -2.4702564609120444e-42,
-    1.7648891123448757e-45,
-    -1.1359381143141137e-48,
-    6.620843470968781e-52,
-    -3.511053355816778e-55,
-    1.7013165461426614e-58,
-    -7.562283658256263e-62,
-    3.094540627419443e-65,
-    -1.1696225762803288e-68,
-    4.0956480785573804e-72,
-    -1.3324476831628261e-75,
-    4.037982458661724e-79,
-    -1.1426765349452577e-82,
-    3.026316369895804e-86,
-)
+_DEXP_QUAD_RATE_SERIES = _series(_SINC, 2, lambda k: -2 * (k + 1))
 
 # (1 - gamma)/phi**2: quadratic coefficient of the inverse differential,
 # limit 1/12  (poles at 2*pi)
-_DEXPINV_QUAD_SERIES = (
-    0.08333333333333333,
-    0.001388888888888889,
-    3.306878306878307e-05,
-    8.267195767195768e-07,
-    2.08767569878681e-08,
-    5.284190138687493e-10,
-    1.3382536530684679e-11,
-    3.3896802963225827e-13,
-    8.586062056277845e-15,
-    2.174868698558062e-16,
-    5.5090028283602295e-18,
-    1.3954464685812522e-19,
-    3.534707039629467e-21,
-    8.953517427037546e-23,
-    2.267952452337683e-24,
-    5.744790668872202e-26,
-    1.455172475614865e-27,
-    3.6859949406653103e-29,
-    9.336734257095045e-31,
-    2.36502241570063e-32,
-    5.990671762482134e-34,
-    1.5174548844682903e-35,
-    3.843758125454189e-37,
-    9.736353072646691e-39,
-    2.466247044200681e-40,
-    6.247076741820743e-42,
-    1.5824030244644914e-43,
-    4.008273685948936e-45,
-    1.0153075855569557e-46,
-    2.5718041582418717e-48,
-)
+_DEXPINV_QUAD_SERIES = _series(_GAMMA, 1, lambda k: -1)
 
 # (inv_beta + gamma - 2)/phi**4: radial rate of the previous kernel,
 # limit 1/360  (poles at 2*pi)
-_DEXPINV_QUAD_RATE_SERIES = (
-    0.002777777777777778,
-    0.00013227513227513228,
-    4.96031746031746e-06,
-    1.670140559029448e-07,
-    5.2841901386874934e-09,
-    1.6059043836821613e-10,
-    4.745552414851616e-12,
-    1.3737699290044552e-13,
-    3.914763657404511e-15,
-    1.1018005656720459e-16,
-    3.069982230878755e-18,
-    8.483296895110721e-20,
-    2.327914531029762e-21,
-    6.350266866545513e-23,
-    1.7234372006616606e-24,
-    4.656551921967568e-26,
-    1.2532382798262054e-27,
-    3.3612243325542163e-29,
-    8.987085179662393e-31,
-    2.3962687049928537e-32,
-    6.373310514766819e-34,
-    1.6912535751998429e-35,
-    4.478722413417478e-37,
-    1.183798581216327e-38,
-    3.1235383709103717e-40,
-    8.228495727215355e-42,
-    2.1644677904124254e-43,
-    5.685722479118952e-45,
-    1.4916464117802855e-46,
-    3.908673621140289e-48,
-)
+_DEXPINV_QUAD_RATE_SERIES = _series(_GAMMA, 2, lambda k: -2 * (k + 1))
 
-# second radial rate of beta/2, limit 1/90
-_DEXP_LIN_RATE2_SERIES = (
-    0.011111111111111112,
-    -0.0005952380952380953,
-    1.3227513227513228e-05,
-    -1.670140559029448e-07,
-    1.376489471727567e-09,
-    -8.029521918410807e-12,
-    3.498702360963315e-14,
-    -1.1837714755139035e-16,
-    3.2028449012822063e-19,
-    -7.091645312822921e-22,
-    1.309226826982693e-24,
-    -2.046650883931579e-27,
-    2.744550993777979e-30,
-    -3.192328234077984e-33,
-    3.251671234100315e-36,
-    -2.9247836497198605e-39,
-    2.340242962969305e-42,
-    -1.676644656727632e-45,
-    1.0818458231562988e-48,
-    -6.3198960404701995e-52,
-    3.3583988620856136e-55,
-    -1.6304283567200504e-58,
-    7.2597923119260134e-62,
-    -2.9755198340571564e-65,
-    1.1263032216032797e-68,
-    -3.949374932894617e-72,
-    1.2865012113296254e-75,
-    -3.9033830433730003e-79,
-    1.1058160015599267e-82,
-    -2.93174398333656e-86,
-)
+# (phi**2*cos(phi) - 5*phi*sin(phi) + 16*sin(phi/2)**2)/phi**6: second radial
+# rate of beta/2, limit 1/90
+_DEXP_LIN_RATE2_SERIES = _series(_BETA, 2, lambda k: 2 * (k + 1) * (k + 2))
 
-# second radial rate of delta, limit 1/630
-_DEXP_QUAD_RATE2_SERIES = (
-    0.0015873015873015873,
-    -6.613756613756614e-05,
-    1.2025012025012026e-06,
-    -1.2847235069457292e-08,
-    9.17659647818378e-11,
-    -4.723248187300475e-13,
-    1.8414222952438498e-15,
-    -5.6370070262566834e-18,
-    1.3925412614270462e-20,
-    -2.836658125129168e-23,
-    4.848988248084048e-26,
-    -7.057416841143375e-29,
-    8.853390302509611e-32,
-    -9.673721921448438e-35,
-    9.290489240286615e-38,
-    -7.904820674918542e-41,
-    6.000622981972577e-44,
-    -4.0893772115308096e-47,
-    2.5159205189681365e-50,
-    -1.4044213423267111e-53,
-    7.145529493799178e-57,
-    -3.327404809632756e-60,
-    1.4234886886129437e-63,
-    -5.614188366145579e-67,
-    2.0478240392786903e-70,
-    -6.928727952446696e-74,
-    2.180510527677331e-77,
-    -6.398988595693443e-81,
-    1.7552634945395662e-84,
-    -4.510375358979323e-88,
-)
+# (phi**2*sin(phi) + 7*phi*cos(phi) - 15*sin(phi) + 8*phi)/phi**7: second
+# radial rate of delta, limit 1/630
+_DEXP_QUAD_RATE2_SERIES = _series(_SINC, 3, lambda k: -4 * (k + 1) * (k + 2))
 
-# second radial rate of the inverse-differential quadratic coefficient,
-# limit 1/3780  (poles at 2*pi)
-_DEXPINV_QUAD_RATE2_SERIES = (
-    0.00026455026455026457,
-    1.984126984126984e-05,
-    1.0020843354176687e-06,
-    4.227352110949995e-08,
-    1.6059043836821615e-09,
-    5.694662897821939e-11,
-    1.9232779006062372e-12,
-    6.263621851847218e-14,
-    1.9832410182096826e-15,
-    6.13996446175751e-17,
-    1.8663253169243587e-18,
-    5.58699487447143e-20,
-    1.6510693853018332e-21,
-    4.82562416185265e-23,
-    1.3969655765902704e-24,
-    4.0103624954438573e-26,
-    1.1428162730684334e-27,
-    3.2353506646784616e-29,
-    9.105821078972844e-31,
-    2.5493242059067277e-32,
-    7.10326501583934e-34,
-    1.9706378619036901e-35,
-    5.445473473595103e-37,
-    1.4992984180369784e-38,
-    4.114247863607678e-40,
-    1.1255232510144613e-41,
-    3.0702901387242337e-43,
-    8.353219905969599e-45,
-    2.2670307002613676e-46,
-    6.138487285365507e-48,
-)
+# ((gamma*c_quad - 1/4 - 2*c_lin_rate/beta**2)/phi**2 - 4*c_quad_rate)/phi**2
+# with c_quad = (1 - gamma)/phi**2, c_lin_rate = (alpha - beta)/phi**2 and
+# c_quad_rate = (inv_beta + gamma - 2)/phi**4: second radial rate of the
+# inverse-differential quadratic coefficient, limit 1/3780  (poles at 2*pi)
+_DEXPINV_QUAD_RATE2_SERIES = _series(_GAMMA, 3,
+                                     lambda k: -4 * (k + 1) * (k + 2))
 
 # (2 - (1 + 3*alpha)/(2*beta))/phi**2: squared-adjoint coefficient of the
 # inverse screw differential, limit +1/12  (poles at 2*pi)
-_ADFORM_QUAD_SERIES = (
-    0.08333333333333333,
-    0.0,
-    -3.306878306878307e-05,
-    -1.6534391534391535e-06,
-    -6.26302709636043e-08,
-    -2.1136760554749973e-09,
-    -6.691268265342339e-11,
-    -2.0338081777935496e-12,
-    -6.010243439394491e-14,
-    -1.7398949588464495e-15,
-    -4.9581025455242067e-17,
-    -1.3954464685812524e-18,
-    -3.8881777435924145e-20,
-    -1.0744220912445056e-21,
-    -2.948338188038988e-23,
-    -8.042706936421083e-25,
-    -2.1827587134222975e-26,
-    -5.8975919050644965e-28,
-    -1.5872448237061577e-29,
-    -4.2570403482611335e-31,
-    -1.1382276348716055e-32,
-    -3.0349097689365803e-34,
-    -8.071892063453796e-36,
-    -2.141997675982272e-37,
-    -5.672368201661566e-39,
-    -1.4992984180369785e-40,
-    -3.956007561161229e-42,
-    -1.0421511583467233e-43,
-    -2.74133048100378e-45,
-    -7.201051643077241e-47,
-)
+_ADFORM_QUAD_SERIES = _series(_GAMMA, 1, lambda k: k - 1)
 
 # (1 - (1 + alpha)/(2*beta))/phi**4: fourth-power-adjoint coefficient of the
 # inverse screw differential, limit -1/720  (poles at 2*pi)
-_ADFORM_QUART_SERIES = (
-    -0.001388888888888889,
-    -6.613756613756614e-05,
-    -2.48015873015873e-06,
-    -8.35070279514724e-08,
-    -2.6420950693437467e-09,
-    -8.029521918410807e-11,
-    -2.372776207425808e-12,
-    -6.868849645022276e-14,
-    -1.9573818287022555e-15,
-    -5.5090028283602297e-17,
-    -1.5349911154393775e-18,
-    -4.241648447555361e-20,
-    -1.163957265514881e-21,
-    -3.1751334332727565e-23,
-    -8.617186003308303e-25,
-    -2.328275960983784e-26,
-    -6.266191399131027e-28,
-    -1.6806121662771081e-29,
-    -4.4935425898311966e-31,
-    -1.1981343524964268e-32,
-    -3.1866552573834097e-34,
-    -8.456267875999214e-36,
-    -2.239361206708739e-37,
-    -5.918992906081635e-39,
-    -1.5617691854551859e-40,
-    -4.1142478636076775e-42,
-    -1.0822338952062127e-43,
-    -2.842861239559476e-45,
-    -7.458232058901428e-47,
-    -1.9543368105701446e-48,
-)
+_ADFORM_QUART_SERIES = _series(_GAMMA, 2, lambda k: k + 1)
 
 # phi/sin(phi)  (poles at pi: series radius pi, keep the window small)
-_INV_SINC_SERIES = (
-    1.0,
-    0.16666666666666666,
-    0.019444444444444445,
-    0.00205026455026455,
-    0.0002099867724867725,
-    2.1336045641601196e-05,
-    2.1633474427786596e-06,
-    2.192327134456764e-07,
-    2.2213930853920414e-08,
-    2.2507674795567867e-09,
-    2.280510770721821e-10,
-    2.3106421580996967e-11,
-    2.3411704028931947e-12,
-    2.3721016693292245e-13,
-    2.4034415154237358e-14,
-    2.435195398382432e-15,
-    2.4673688033682493e-16,
-    2.4999672768310465e-17,
-    2.532996435666915e-18,
-    2.566461970263955e-19,
-    2.6003696460089974e-20,
-    2.634725304414182e-21,
-    2.6695348641570913e-22,
-    2.704804322108954e-23,
-    2.740539754369932e-24,
-    2.7767473173164386e-25,
-    2.813433248661878e-26,
-    2.8506038685312914e-27,
-    2.8882655805501746e-28,
-    2.9264248729476755e-29,
-)
+_INV_SINC_SERIES = _series(_INV_SINC)
 
 
 def _poly_even(coeffs, phi: float) -> float:
@@ -806,84 +396,3 @@ def _inv_sinc(phi: float) -> float:
     if phi < _INV_SINC_SERIES_WINDOW:
         return _poly_even(_INV_SINC_SERIES, phi)
     return phi / math.sin(phi)
-
-
-# ---------------------------------------------------------------------------
-# Public bundle
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class TrigCoeffs:
-    """The scalar coefficient bundle at a rotation angle phi.
-
-    ``alpha``, ``beta`` and ``delta`` are defined for every angle.  ``gamma``
-    and ``inv_beta`` exist only for phi < 2*pi and are computed lazily so the
-    rest of the bundle stays usable beyond that; accessing them outside the
-    domain raises :class:`~liegroup_maps.core.ChartDomainError`.
-    """
-
-    phi: float
-    alpha: float
-    beta: float
-    delta: float
-
-    @property
-    def gamma(self) -> float:
-        """alpha/beta = (phi/2)*cot(phi/2); requires phi < 2*pi."""
-        ensure_dexp_inv_domain(self.phi)
-        return _cot_half_scaled(self.phi)
-
-    @property
-    def inv_beta(self) -> float:
-        """1/beta; requires phi < 2*pi."""
-        ensure_dexp_inv_domain(self.phi)
-        return _inv_sinc_sq_half(self.phi)
-
-
-def trig_coeffs(phi: float) -> TrigCoeffs:
-    """Evaluate the scalar coefficient bundle at rotation angle phi >= 0.
-
-    All members are even functions, so the magnitude of a rotation vector is
-    the intended argument.
-    """
-    phi = abs(float(phi))
-    return TrigCoeffs(
-        phi=phi,
-        alpha=_sinc(phi),
-        beta=_sinc_sq_half(phi),
-        delta=_dexp_quad(phi),
-    )
-
-
-@dataclass(frozen=True)
-class TrigCoeffDerivs:
-    """Directional derivatives of the coefficient bundle along a direction."""
-
-    d_alpha: float
-    d_beta: float
-    d_delta: float
-    d_gamma: float
-
-
-def trig_coeff_derivs(rotvec, direction) -> TrigCoeffDerivs:
-    """Directional derivatives of alpha, beta, delta, gamma at ``rotvec``.
-
-    Each coefficient is a function of phi = |x|; its derivative along a
-    perturbation u of the rotation vector is rate(phi) * (x . u) with the
-    radial rate expressed through the guarded quotient kernels, so the
-    result is finite and smooth through x = 0.  ``d_gamma`` requires
-    phi < 2*pi like gamma itself.
-    """
-    rotvec = np.asarray(rotvec, dtype=float)
-    direction = np.asarray(direction, dtype=float)
-    phi = float(np.linalg.norm(rotvec))
-    x_dot_u = float(rotvec @ direction)
-    ensure_dexp_inv_domain(phi)
-    gamma = _cot_half_scaled(phi)
-    return TrigCoeffDerivs(
-        d_alpha=(_dexp_quad(phi) - 0.5 * _sinc_sq_half(phi)) * x_dot_u,
-        d_beta=2.0 * _dexp_lin_rate(phi) * x_dot_u,
-        d_delta=_dexp_quad_rate(phi) * x_dot_u,
-        d_gamma=(gamma * _dexpinv_quad(phi) - 0.25) * x_dot_u,
-    )

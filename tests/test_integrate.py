@@ -10,7 +10,8 @@ from liegroup_maps.integrate import (
     NewtonConvergenceError,
     Problem,
     TwistField,
-    _midpoint_system,
+    _midpoint_jacobian,
+    _midpoint_residual,
     beam_reconstruct,
     cayley_map,
     convergence_study,
@@ -157,10 +158,14 @@ def test_midpoint_jacobian_matches_finite_difference():
                             aux + 0.01])
 
     def residual_only(w):
-        return _midpoint_system(cmap, problem.field, pose, 0.0, h, aux, w)[0]
+        return _midpoint_residual(cmap, problem.field, pose, 0.0, h, aux,
+                                  w)[0]
 
-    _, jacobian = _midpoint_system(cmap, problem.field, pose, 0.0, h, aux,
-                                   state)
+    _, twist, aux_rate, mid_pose, dmap_mat = _midpoint_residual(
+        cmap, problem.field, pose, 0.0, h, aux, state)
+    jacobian = _midpoint_jacobian(cmap, problem.field, pose, 0.0, h, aux,
+                                  state, twist, aux_rate, mid_pose, dmap_mat,
+                                  1e-7)
     fd = np.zeros_like(jacobian)
     eps = 1e-6
     for j in range(state.size):

@@ -1,10 +1,16 @@
 import math
+import os
+import subprocess
+import sys
+from fractions import Fraction
 
 import mpmath as mp
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+import liegroup_maps
+from liegroup_maps import scalars
 from liegroup_maps.core import ChartDomainError
 from liegroup_maps.scalars import (
     DEXPINV_DOMAIN_LIMIT,
@@ -27,11 +33,7 @@ from liegroup_maps.scalars import (
     _sinc_sq_half,
     ensure_dexp_inv_domain,
     force_branch,
-    trig_coeff_derivs,
-    trig_coeffs,
 )
-
-RNG = np.random.default_rng(42)
 
 mp.mp.dps = 50
 
@@ -176,45 +178,41 @@ def test_kernel_values_at_zero_are_exact_limits():
 
 
 def test_bundle_values_at_pi():
-    c = trig_coeffs(math.pi)
-    assert abs(c.alpha) < 1e-15
-    assert_allclose(c.beta, 4.0 / math.pi**2, rtol=1e-15)
-    assert abs(c.gamma) < 1e-15
-    assert_allclose(c.delta, 1.0 / math.pi**2, rtol=1e-14)
-    assert_allclose(c.inv_beta, math.pi**2 / 4.0, rtol=1e-15)
+    phi = math.pi
+    assert abs(_sinc(phi)) < 1e-15
+    assert_allclose(_sinc_sq_half(phi), 4.0 / math.pi**2, rtol=1e-15)
+    assert abs(_cot_half_scaled(phi)) < 1e-15
+    assert_allclose(_dexp_quad(phi), 1.0 / math.pi**2, rtol=1e-14)
+    assert_allclose(_inv_sinc_sq_half(phi), math.pi**2 / 4.0, rtol=1e-15)
 
 
 def test_bundle_internal_identities():
     # gamma * beta == alpha and delta * phi**2 == 1 - alpha on both branches;
     # stay strictly inside the pole-free domain so gamma is defined
     for phi in sweep_angles(TWO_PI - 1e-5):
-        c = trig_coeffs(float(phi))
-        assert_allclose(c.gamma * c.beta, c.alpha, rtol=1e-13, atol=1e-15)
-        assert_allclose(c.delta * phi * phi, 1.0 - c.alpha, rtol=0, atol=1e-13)
-        assert_allclose(c.inv_beta * c.beta, 1.0, rtol=1e-14)
-
-
-def test_bundle_is_even():
-    a = trig_coeffs(-1.3)
-    b = trig_coeffs(1.3)
-    assert a == b
+        phi = float(phi)
+        alpha, beta = _sinc(phi), _sinc_sq_half(phi)
+        assert_allclose(_cot_half_scaled(phi) * beta, alpha, rtol=1e-13,
+                        atol=1e-15)
+        assert_allclose(_dexp_quad(phi) * phi * phi, 1.0 - alpha, rtol=0,
+                        atol=1e-13)
+        assert_allclose(_inv_sinc_sq_half(phi) * beta, 1.0, rtol=1e-14)
 
 
 def test_gamma_domain_error():
-    c = trig_coeffs(TWO_PI - 1e-7)
+    # gamma and inv_beta have poles at 2*pi; the maps that use them guard
+    # the angle first
     with pytest.raises(ChartDomainError, match="dexp-inverse domain exceeded"):
-        c.gamma
-    with pytest.raises(ChartDomainError, match="dexp-inverse domain exceeded"):
-        c.inv_beta
+        ensure_dexp_inv_domain(TWO_PI - 1e-7)
 
 
 def test_alpha_beta_delta_available_beyond_domain():
-    # the sub-bundle without poles stays usable at and past 2*pi
+    # the kernels without poles stay usable at and past 2*pi
     for phi in (TWO_PI - 1e-7, TWO_PI, 7.5, 12.0):
-        c = trig_coeffs(phi)
-        assert_allclose(c.alpha, math.sin(phi) / phi, rtol=1e-13, atol=1e-16)
-        assert np.isfinite(c.beta)
-        assert np.isfinite(c.delta)
+        assert_allclose(_sinc(phi), math.sin(phi) / phi, rtol=1e-13,
+                        atol=1e-16)
+        assert np.isfinite(_sinc_sq_half(phi))
+        assert np.isfinite(_dexp_quad(phi))
 
 
 def test_ensure_domain_boundary():
@@ -226,11 +224,11 @@ def test_ensure_domain_boundary():
 
 
 def test_natural_seam_is_continuous():
-    lo = trig_coeffs(SMALL_ANGLE_THRESHOLD * (1.0 - 1e-9))
-    hi = trig_coeffs(SMALL_ANGLE_THRESHOLD * (1.0 + 1e-9))
-    for field in ("alpha", "beta", "gamma", "delta", "inv_beta"):
-        a, b = getattr(lo, field), getattr(hi, field)
-        assert_allclose(a, b, rtol=1e-12)
+    lo = SMALL_ANGLE_THRESHOLD * (1.0 - 1e-9)
+    hi = SMALL_ANGLE_THRESHOLD * (1.0 + 1e-9)
+    for kernel in (_sinc, _sinc_sq_half, _cot_half_scaled, _dexp_quad,
+                   _inv_sinc_sq_half):
+        assert_allclose(kernel(lo), kernel(hi), rtol=1e-12)
 
 
 def test_forced_branches_agree_at_seam():
@@ -274,30 +272,125 @@ def test_force_branch_validation_and_restore():
     assert _sinc(2.0) == math.sin(2.0) / 2.0
 
 
-def test_trig_coeff_derivs_match_finite_differences():
-    h = 1e-6
-    for _ in range(50):
-        x = RNG.uniform(-1.0, 1.0, 3) * RNG.uniform(0.05, 1.8)
-        u = RNG.standard_normal(3)
-        d = trig_coeff_derivs(x, u)
-        for name, field in (("alpha", "d_alpha"), ("beta", "d_beta"),
-                            ("delta", "d_delta"), ("gamma", "d_gamma")):
-            fp = getattr(trig_coeffs(np.linalg.norm(x + h * u)), name)
-            fm = getattr(trig_coeffs(np.linalg.norm(x - h * u)), name)
-            fd = (fp - fm) / (2.0 * h)
-            assert_allclose(getattr(d, field), fd, atol=2e-9,
-                            err_msg=f"d_{name} at x={x}, u={u}")
+# ---------------------------------------------------------------------------
+# Series tables: a second, independent route through exact rational series
+# ---------------------------------------------------------------------------
+
+# 30 table terms plus headroom for the deepest division, by s**3
+_EXACT_TERMS = 36
 
 
-def test_trig_coeff_derivs_at_zero():
-    d = trig_coeff_derivs(np.zeros(3), np.array([1.0, 2.0, 3.0]))
-    assert d.d_alpha == 0.0
-    assert d.d_beta == 0.0
-    assert d.d_delta == 0.0
-    assert d.d_gamma == 0.0
+class _Series:
+    """Truncated power series in s = phi**2 with Fraction coefficients."""
+
+    def __init__(self, coeffs):
+        self.c = [Fraction(x) for x in coeffs]
+
+    @classmethod
+    def of(cls, term):
+        return cls(term(k) for k in range(_EXACT_TERMS))
+
+    def _lift(self, other):
+        if isinstance(other, _Series):
+            return other
+        return _Series([other] + [0] * (len(self.c) - 1))
+
+    def __add__(self, other):
+        return _Series(a + b for a, b in zip(self.c, self._lift(other).c))
+
+    __radd__ = __add__
+
+    def __neg__(self):
+        return _Series(-a for a in self.c)
+
+    def __sub__(self, other):
+        return self + -self._lift(other)
+
+    def __rsub__(self, other):
+        return self._lift(other) - self
+
+    def __mul__(self, other):
+        b = self._lift(other).c
+        n = min(len(self.c), len(b))
+        return _Series(sum(self.c[i] * b[k - i] for i in range(k + 1))
+                       for k in range(n))
+
+    __rmul__ = __mul__
+
+    def __truediv__(self, other):
+        b = self._lift(other).c
+        q = []
+        for k in range(min(len(self.c), len(b))):
+            acc = self.c[k] - sum(q[i] * b[k - i] for i in range(k))
+            q.append(acc / b[0])
+        return _Series(q)
+
+    def __rtruediv__(self, other):
+        return self._lift(other) / self
+
+    def over_s(self, m):
+        """Divide by s**m; the first m coefficients must vanish."""
+        assert not any(self.c[:m])
+        return _Series(self.c[m:])
 
 
-def test_trig_coeff_derivs_domain():
-    x = np.array([0.0, 0.0, TWO_PI])
-    with pytest.raises(ChartDomainError):
-        trig_coeff_derivs(x, np.ones(3))
+def test_series_tables_are_correctly_rounded_exact_rationals():
+    # Every table is rebuilt from sin/cos factorial series by exact series
+    # quotients, following the defining formula in the scalars comments,
+    # and every coefficient must equal its exact rational rounded once.
+    f = math.factorial
+    s = _Series.of(lambda k: int(k == 1))
+    alpha = _Series.of(lambda k: Fraction((-1) ** k, f(2 * k + 1)))
+    cos = _Series.of(lambda k: Fraction((-1) ** k, f(2 * k)))
+    # sin(phi/2)/(phi/2): alpha at s/4
+    sinc_half = _Series.of(lambda k: Fraction((-1) ** k, f(2 * k + 1) * 4**k))
+    beta = sinc_half * sinc_half
+    gamma = alpha / beta
+    inv_beta = 1 / beta
+    delta = (1 - alpha).over_s(1)
+    lin_rate = (alpha - beta).over_s(1)
+    dexpinv_quad = (1 - gamma).over_s(1)
+    dexpinv_quad_rate = (inv_beta + gamma - 2).over_s(2)
+    sin_half_sq = (1 - cos) / 2
+    exact = {
+        "_SINC_SERIES": alpha,
+        "_SINC_SQ_HALF_SERIES": beta,
+        "_COT_HALF_SCALED_SERIES": gamma,
+        "_INV_SINC_SQ_HALF_SERIES": inv_beta,
+        "_DEXP_QUAD_SERIES": delta,
+        "_DEXP_LIN_RATE_SERIES": lin_rate,
+        "_DEXP_QUAD_RATE_SERIES": (beta / 2 - 3 * delta).over_s(1),
+        "_DEXPINV_QUAD_SERIES": dexpinv_quad,
+        "_DEXPINV_QUAD_RATE_SERIES": dexpinv_quad_rate,
+        # odd numerators divided through by phi
+        "_DEXP_LIN_RATE2_SERIES":
+            (s * cos - 5 * s * alpha + 16 * sin_half_sq).over_s(3),
+        "_DEXP_QUAD_RATE2_SERIES":
+            (s * alpha + 7 * cos - 15 * alpha + 8).over_s(3),
+        "_DEXPINV_QUAD_RATE2_SERIES":
+            ((gamma * dexpinv_quad - Fraction(1, 4)
+              - 2 * lin_rate / (beta * beta)).over_s(1)
+             - 4 * dexpinv_quad_rate).over_s(1),
+        "_ADFORM_QUAD_SERIES":
+            (2 - (1 + 3 * alpha) / (2 * beta)).over_s(1),
+        "_ADFORM_QUART_SERIES": (1 - (1 + alpha) / (2 * beta)).over_s(2),
+        "_INV_SINC_SERIES": 1 / alpha,
+    }
+    for name, series in exact.items():
+        want = tuple(float(c) for c in series.c[:30])
+        assert len(want) == 30
+        assert getattr(scalars, name) == want, name
+
+
+def test_import_loads_only_numpy_runtime():
+    # numpy is the only runtime dependency, and the tables are built with
+    # integer arithmetic so that importing the package stays cheap
+    src = os.path.dirname(os.path.dirname(liegroup_maps.__file__))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (src, env.get("PYTHONPATH")) if p)
+    code = ("import sys, liegroup_maps; print([m for m in "
+            "('fractions', 'decimal', 'mpmath', 'scipy') if m in sys.modules])")
+    out = subprocess.run([sys.executable, "-c", code], env=env,
+                         capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "[]"
