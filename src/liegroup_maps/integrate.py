@@ -8,9 +8,10 @@ the step closes with ``C <- C @ map(X_h)`` (body) or ``C <- map(X_h) @ C``
 orthonormality is preserved to rounding regardless of step size.
 
 Two steppers are provided: a classical RK4 run through the chart, and an
-implicit midpoint rule whose Newton iteration assembles the tangent matrix
-from the analytic directional derivative of ``dmap_inv`` plus a finite
-difference of the twist field.
+implicit midpoint rule whose Newton iteration assembles the tangent matrix by
+the chain rule: the analytic directional derivative of ``dmap_inv``, the
+chart differential ``dmap`` at the half increment, and the field's own
+Jacobian (forward differences stand in for fields that do not supply one).
 """
 
 from __future__ import annotations
@@ -21,12 +22,14 @@ from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
-from .core import ChartDomainError, pose_inverse
+from .core import ChartDomainError, hat3, pose_inverse
 from .se3 import (
     se3_cay,
+    se3_dcay,
     se3_dcay_inv,
     se3_ddcay_inv_tangent,
     se3_ddexp_inv_tangent,
+    se3_dexp,
     se3_dexp_inv,
     se3_exp,
 )
@@ -71,7 +74,9 @@ class IntegrationError(RuntimeError):
 class CoordinateMap:
     """A local chart: value map plus the operators its steppers need.
 
-    ``dmap_inv`` maps a body/spatial twist to the coordinate rate; its value
+    ``dmap`` is the right-trivialized differential of ``value``
+    (``value(x + d) ~ exp(hat(dmap(x) @ d)) @ value(x)``); ``dmap_inv`` is
+    its inverse and maps a body/spatial twist to the coordinate rate; its value
     at zero is the identity for the exponential chart and half the identity
     for the Cayley chart (whose differential at zero is twice the identity).
     ``ddmap_inv_tangent(x, v)`` assembles the directional derivatives of
@@ -82,18 +87,19 @@ class CoordinateMap:
 
     kind: str
     value: Callable[[np.ndarray], np.ndarray]
+    dmap: Callable[[np.ndarray], np.ndarray]
     dmap_inv: Callable[[np.ndarray], np.ndarray]
     ddmap_inv_tangent: Callable[[np.ndarray, np.ndarray], np.ndarray]
     dmap_inv_zero: np.ndarray
 
 
 def exponential_map() -> CoordinateMap:
-    return CoordinateMap("exponential", se3_exp, se3_dexp_inv,
+    return CoordinateMap("exponential", se3_exp, se3_dexp, se3_dexp_inv,
                          se3_ddexp_inv_tangent, np.eye(6))
 
 
 def cayley_map() -> CoordinateMap:
-    return CoordinateMap("cayley", se3_cay, se3_dcay_inv,
+    return CoordinateMap("cayley", se3_cay, se3_dcay, se3_dcay_inv,
                          se3_ddcay_inv_tangent, 0.5 * np.eye(6))
 
 
@@ -117,11 +123,20 @@ class TwistField:
     ``rate(t, pose, aux)`` returns ``(twist, aux_rate)`` where ``twist`` is a
     6-vector in the frame named by ``frame`` and ``aux_rate`` has the shape
     of ``aux0``.  Fields without auxiliary state return an empty rate.
+
+    ``jacobian(t, pose, aux)``, optional, returns the ``(6+n, 6+n)``
+    derivative of the stacked ``(twist, aux_rate)`` with respect to
+    ``(xi, aux)``, where ``n = aux0.size`` and ``xi`` perturbs the pose in
+    the field's frame: ``pose @ exp(hat(xi))`` for a body field,
+    ``exp(hat(xi)) @ pose`` for a spatial one.  The implicit midpoint rule
+    builds its Newton matrix from it; without it, forward differences of
+    ``rate`` stand in.
     """
 
     frame: str
     rate: Callable[[float, np.ndarray, np.ndarray], tuple]
     aux0: np.ndarray = dataclass_field(default_factory=lambda: np.zeros(0))
+    jacobian: Callable[..., np.ndarray] | None = None
 
     def __post_init__(self):
         if self.frame not in _FRAMES:
@@ -156,7 +171,11 @@ class StepResult:
 
 @dataclass(frozen=True)
 class Trajectory:
-    """Uniformly sampled motion with per-sample invariant records."""
+    """Uniformly sampled motion with per-sample invariant records.
+
+    ``newton_iterations`` holds one count per step: the Newton updates of an
+    implicit-midpoint step, 0 for explicit steps and beam segments.
+    """
 
     times: np.ndarray
     poses: np.ndarray
@@ -168,6 +187,7 @@ class Trajectory:
     invariant_names: tuple
     invariant_values: np.ndarray
     orth_drift: np.ndarray
+    newton_iterations: np.ndarray
 
     @property
     def final_pose(self) -> np.ndarray:
@@ -185,12 +205,15 @@ class Trajectory:
 # ---------------------------------------------------------------------------
 
 
+def _compose(frame: str, pose: np.ndarray, local: np.ndarray) -> np.ndarray:
+    return pose @ local if frame == "body" else local @ pose
+
+
 def _chart_pose(cmap: CoordinateMap, frame: str, pose: np.ndarray,
                 coords: np.ndarray) -> np.ndarray:
     if not coords.any():
         return pose
-    local = cmap.value(coords)
-    return pose @ local if frame == "body" else local @ pose
+    return _compose(frame, pose, cmap.value(coords))
 
 
 def _coordinate_rate(cmap: CoordinateMap, frame: str, coords: np.ndarray,
@@ -199,6 +222,12 @@ def _coordinate_rate(cmap: CoordinateMap, frame: str, coords: np.ndarray,
         return cmap.dmap_inv_zero @ twist
     sign = -1.0 if frame == "body" else 1.0
     return cmap.dmap_inv(sign * coords) @ twist
+
+
+def _require_finite_positive(what: str, *values) -> None:
+    for value in values:
+        if not 0.0 < value < math.inf:     # false for NaN as well
+            raise ValueError(f"{what} must be finite and positive")
 
 
 def _field_aux(field: TwistField, aux) -> np.ndarray:
@@ -215,8 +244,7 @@ def mk_rk4_step(cmap: CoordinateMap, field: TwistField, pose: np.ndarray,
     co-integrated with the same tableau.  Raises ChartDomainError if an
     internal stage leaves the chart.
     """
-    if h <= 0.0:
-        raise ValueError("step size must be positive")
+    _require_finite_positive("step size", h)
     aux = _field_aux(field, aux)
 
     def rate(tau, coords, z):
@@ -238,15 +266,6 @@ def mk_rk4_step(cmap: CoordinateMap, field: TwistField, pose: np.ndarray,
                       coords)
 
 
-def _midpoint_field(cmap: CoordinateMap, field: TwistField, pose: np.ndarray,
-                    t_mid: float, aux: np.ndarray, coords: np.ndarray,
-                    z_end: np.ndarray):
-    mid_pose = _chart_pose(cmap, field.frame, pose, 0.5 * coords)
-    twist, aux_rate = field.rate(t_mid, mid_pose, 0.5 * (aux + z_end))
-    return (np.asarray(twist, dtype=float),
-            np.asarray(aux_rate, dtype=float), mid_pose)
-
-
 def _midpoint_residual(cmap: CoordinateMap, field: TwistField,
                        pose: np.ndarray, t: float, h: float, aux: np.ndarray,
                        state: np.ndarray):
@@ -257,9 +276,10 @@ def _midpoint_residual(cmap: CoordinateMap, field: TwistField,
     """
     sign = -1.0 if field.frame == "body" else 1.0
     coords, z_end = state[:6], state[6:]
-    twist, aux_rate, mid_pose = _midpoint_field(cmap, field, pose,
-                                                t + 0.5 * h, aux, coords,
-                                                z_end)
+    mid_pose = _chart_pose(cmap, field.frame, pose, 0.5 * coords)
+    twist, aux_rate = field.rate(t + 0.5 * h, mid_pose, 0.5 * (aux + z_end))
+    twist = np.asarray(twist, dtype=float)
+    aux_rate = np.asarray(aux_rate, dtype=float)
     if coords.any():
         dmap_mat = cmap.dmap_inv(sign * coords)
     else:
@@ -271,38 +291,62 @@ def _midpoint_residual(cmap: CoordinateMap, field: TwistField,
     return residual, twist, aux_rate, mid_pose, dmap_mat
 
 
+def _field_jacobian_fd(field: TwistField, t: float, pose: np.ndarray,
+                       aux: np.ndarray, twist: np.ndarray,
+                       aux_rate: np.ndarray, fd_step: float) -> np.ndarray:
+    """Forward-difference stand-in for ``TwistField.jacobian``: the pose
+    moves by ``exp(fd_step * e_j)`` in the field's frame, the auxiliary state
+    by ``fd_step * e_j``."""
+    n = 6 + aux.size
+    base = np.concatenate([twist, aux_rate])
+    out = np.empty((n, n))
+    for j in range(n):
+        bumped_pose, bumped_aux = pose, aux
+        if j < 6:
+            step = np.zeros(6)
+            step[j] = fd_step
+            bumped_pose = _compose(field.frame, pose, se3_exp(step))
+        else:
+            bumped_aux = aux.copy()
+            bumped_aux[j - 6] += fd_step
+        twist_up, rate_up = field.rate(t, bumped_pose, bumped_aux)
+        out[:, j] = (np.concatenate([twist_up, rate_up]) - base) / fd_step
+    return out
+
+
 def _midpoint_jacobian(cmap: CoordinateMap, field: TwistField,
                        pose: np.ndarray, t: float, h: float, aux: np.ndarray,
                        state: np.ndarray, twist: np.ndarray,
                        aux_rate: np.ndarray, mid_pose: np.ndarray,
                        dmap_mat: np.ndarray, fd_step: float):
-    """Newton Jacobian: analytic chart curvature plus forward-difference
-    field sensitivities (the midpoint pose is recomputed only for
-    chart-coordinate columns since auxiliary columns do not move it)."""
-    sign = -1.0 if field.frame == "body" else 1.0
-    n = state.size
-    t_mid = t + 0.5 * h
-    coords, z_end = state[:6], state[6:]
+    """Newton Jacobian of the midpoint residual by the chain rule.
 
-    jacobian = np.eye(n)
+    The field Jacobian is taken at the midpoint with respect to the pose
+    perturbation in the field's frame and the midpoint auxiliary state.  A
+    chart step ``d`` moves the midpoint pose by
+    ``xi = dmap(sign * coords / 2) @ d / 2`` in that frame, and an end-state
+    step moves the midpoint auxiliary state by half of it.  The chart
+    curvature enters analytically through ``ddmap_inv_tangent``.
+    """
+    sign = -1.0 if field.frame == "body" else 1.0
+    coords, z_end = state[:6], state[6:]
+    t_mid = t + 0.5 * h
+    aux_mid = 0.5 * (aux + z_end)
+    if field.jacobian is None:
+        field_jac = _field_jacobian_fd(field, t_mid, mid_pose, aux_mid, twist,
+                                       aux_rate, fd_step)
+    else:
+        field_jac = np.asarray(field.jacobian(t_mid, mid_pose, aux_mid),
+                               dtype=float)
+    by_state = np.empty_like(field_jac)
+    by_state[:, :6] = field_jac[:, :6] @ (0.5 * cmap.dmap(0.5 * sign * coords))
+    by_state[:, 6:] = 0.5 * field_jac[:, 6:]
+
+    jacobian = np.eye(state.size)
+    jacobian[:6] -= h * (dmap_mat @ by_state[:6])
+    jacobian[6:] -= h * by_state[6:]
     jacobian[:6, :6] -= (h * sign) * cmap.ddmap_inv_tangent(sign * coords,
                                                             twist)
-    for j in range(6):
-        bumped = coords.copy()
-        bumped[j] += fd_step
-        twist_up, rate_up, _ = _midpoint_field(cmap, field, pose, t_mid, aux,
-                                               bumped, z_end)
-        jacobian[:6, j] -= h * (dmap_mat @ (twist_up - twist)) / fd_step
-        if n > 6:
-            jacobian[6:, j] -= h * (rate_up - aux_rate) / fd_step
-    for j in range(6, n):
-        bumped = z_end.copy()
-        bumped[j - 6] += fd_step
-        twist_up, rate_up = field.rate(t_mid, mid_pose, 0.5 * (aux + bumped))
-        twist_up = np.asarray(twist_up, dtype=float)
-        rate_up = np.asarray(rate_up, dtype=float)
-        jacobian[:6, j] -= h * (dmap_mat @ (twist_up - twist)) / fd_step
-        jacobian[6:, j] -= h * (rate_up - aux_rate) / fd_step
     return jacobian
 
 
@@ -314,11 +358,10 @@ def implicit_midpoint_step(cmap: CoordinateMap, field: TwistField,
 
     The midpoint pose is reached through half the chart increment; the
     chart operator is evaluated at the full increment.  Raises
-    NewtonConvergenceError when the residual fails to drop below
-    ``newton_tol`` within ``max_iters`` updates.
+    NewtonConvergenceError as soon as the residual is non-finite, or when it
+    fails to drop below ``newton_tol`` within ``max_iters`` updates.
     """
-    if h <= 0.0:
-        raise ValueError("step size must be positive")
+    _require_finite_positive("step size", h)
     aux = _field_aux(field, aux)
     state = np.concatenate([np.zeros(6), aux])
     residuals = []
@@ -327,6 +370,12 @@ def implicit_midpoint_step(cmap: CoordinateMap, field: TwistField,
          dmap_mat) = _midpoint_residual(cmap, field, pose, t, h, aux, state)
         res_norm = float(np.max(np.abs(residual)))
         residuals.append(res_norm)
+        if not math.isfinite(res_norm):
+            raise NewtonConvergenceError(
+                f"implicit midpoint Newton iteration hit a non-finite "
+                f"residual ({res_norm}) after {iteration} updates",
+                res_norm,
+            )
         if res_norm < newton_tol:
             coords = state[:6]
             return StepResult(_chart_pose(cmap, field.frame, pose, coords),
@@ -374,14 +423,13 @@ def integrate(problem: Problem, method: str = "mk_rk4",
         raise ValueError(
             f"unknown method {method!r}; expected one of {tuple(_STEPPERS)}"
         )
-    if h <= 0.0 or t_end <= 0.0:
-        raise ValueError("step size and end time must be positive")
+    _require_finite_positive("step size and end time", h, t_end)
     cmap = coordinate_map(map_kind)
     field = problem.field
     n_steps = max(1, int(round(t_end / h)))
 
     names = tuple(problem.invariants)
-    times, poses, auxes, orth, values = [], [], [], [], []
+    times, poses, auxes, orth, values, iterations = [], [], [], [], [], []
 
     def record(t, pose, aux):
         times.append(t)
@@ -402,6 +450,7 @@ def integrate(problem: Problem, method: str = "mk_rk4",
             invariant_names=names,
             invariant_values=np.array(values).reshape(len(times), len(names)),
             orth_drift=np.array(orth),
+            newton_iterations=np.array(iterations, dtype=int),
         )
 
     pose = np.array(problem.initial_pose, dtype=float)
@@ -422,6 +471,7 @@ def integrate(problem: Problem, method: str = "mk_rk4",
                 build(),
             ) from err
         pose, aux = result.pose, result.aux
+        iterations.append(result.iterations)
         record((k + 1) * h, pose, aux)
     return build()
 
@@ -442,7 +492,11 @@ def make_constant_twist_problem(twist=None, frame: str = "body",
     def rate(t, pose, aux):
         return twist, np.zeros(0)
 
-    return Problem("constant_twist", TwistField(frame, rate), pose0)
+    def jacobian(t, pose, aux):
+        return np.zeros((6, 6))
+
+    return Problem("constant_twist", TwistField(frame, rate, jacobian=jacobian),
+                   pose0)
 
 
 def make_heavy_top_problem(inertia=(2.0, 2.0, 1.0), mgl: float = 1.0,
@@ -460,6 +514,7 @@ def make_heavy_top_problem(inertia=(2.0, 2.0, 1.0), mgl: float = 1.0,
     if inertia.shape != (3,) or np.any(inertia <= 0.0):
         raise ValueError("inertia must be three positive principal moments")
     chi = np.asarray(chi, dtype=float)
+    gravity_arm = -mgl * hat3(chi)
     momentum0 = np.asarray(momentum0, dtype=float)
     pose0 = np.eye(4) if initial_pose is None else np.asarray(initial_pose,
                                                               dtype=float)
@@ -472,6 +527,17 @@ def make_heavy_top_problem(inertia=(2.0, 2.0, 1.0), mgl: float = 1.0,
         twist[:3] = omega
         return twist, torque
 
+    def jacobian(t, pose, momentum):
+        # rows (twist, torque), columns (body rotation, body translation,
+        # momentum); the vertical moves as d(R^T e3) = hat(R^T e3) @ d_rot
+        omega = momentum / inertia
+        vertical = pose[:3, :3].T @ _E3
+        out = np.zeros((9, 9))
+        out[:3, 6:] = np.diag(1.0 / inertia)
+        out[6:, :3] = gravity_arm @ hat3(vertical)
+        out[6:, 6:] = hat3(momentum) / inertia - hat3(omega)
+        return out
+
     def energy(pose, momentum):
         vertical = pose[:3, :3].T @ _E3
         return float(0.5 * momentum @ (momentum / inertia)
@@ -480,7 +546,7 @@ def make_heavy_top_problem(inertia=(2.0, 2.0, 1.0), mgl: float = 1.0,
     def vertical_momentum(pose, momentum):
         return float(momentum @ (pose[:3, :3].T @ _E3))
 
-    field = TwistField("body", rate, aux0=momentum0)
+    field = TwistField("body", rate, aux0=momentum0, jacobian=jacobian)
     invariants = {"energy": energy, "vertical_momentum": vertical_momentum}
     return Problem("heavy_top", field, pose0, invariants)
 
@@ -563,6 +629,7 @@ def beam_reconstruct(strain, length: float, segments: int,
         invariant_names=(),
         invariant_values=np.zeros((n, 0)),
         orth_drift=np.array(orth),
+        newton_iterations=np.zeros(segments, dtype=int),
     )
 
 

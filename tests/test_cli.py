@@ -2,12 +2,15 @@
 
 import csv
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import liegroup_maps
 from liegroup_maps import (
     DEFAULT_CONSTANT_TWIST,
     hat3,
@@ -285,10 +288,15 @@ def test_convergence_rejects_nondividing_step(capsys):
 
 
 def test_module_entry_point_subprocess():
+    # the child imports the same package this process imported, installed
+    # or from a source checkout
+    package_root = str(Path(liegroup_maps.__file__).resolve().parents[1])
+    paths = [package_root, os.environ.get("PYTHONPATH", "")]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, paths))}
     out = subprocess.run(
         [sys.executable, "-m", "liegroup_maps", "eval", "cay_so3",
          "--x", "1,0,0"],
-        capture_output=True, text=True, check=True)
+        capture_output=True, text=True, check=True, env=env)
     row = _rows(out.stdout)[1]
     matrix = np.array([float(v) for v in row]).reshape(3, 3)
     np.testing.assert_allclose(matrix, so3_cay(np.array([1.0, 0.0, 0.0])),

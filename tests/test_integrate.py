@@ -1,10 +1,11 @@
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from liegroup_maps.core import ChartDomainError
+from liegroup_maps.core import ChartDomainError, hat3
 from liegroup_maps.integrate import (
     IntegrationError,
     NewtonConvergenceError,
@@ -148,33 +149,99 @@ def test_midpoint_newton_failure_carries_residual():
     assert info.value.residual > 0.0
 
 
-def test_midpoint_jacobian_matches_finite_difference():
-    problem = make_heavy_top_problem()
-    cmap = cayley_map()
-    pose = se3_exp(np.array([0.3, -0.1, 0.2, 0.0, 0.0, 0.0]))
-    aux = problem.field.aux0
-    h = 0.05
-    state = np.concatenate([np.array([0.02, -0.01, 0.03, 0.0, 0.0, 0.0]),
-                            aux + 0.01])
+def _spatial_field():
+    # spatial twist mixing the rotated vector R a with the translation p, so
+    # both pose blocks feed the Jacobian; under exp(hat(xi)) @ pose they move
+    # by d(R a) = -hat(R a) d_rot and dp = -hat(p) d_rot + d_lin
+    a = np.array([0.3, -0.5, 0.8])
+    mix = 0.4 * np.random.default_rng(7).standard_normal((6, 6))
 
-    def residual_only(w):
-        return _midpoint_residual(cmap, problem.field, pose, 0.0, h, aux,
-                                  w)[0]
+    def rate(t, pose, aux):
+        return mix @ np.concatenate([pose[:3, :3] @ a, pose[:3, 3]]), np.zeros(0)
 
+    def jacobian(t, pose, aux):
+        d = np.zeros((6, 6))
+        d[:3, :3] = -hat3(pose[:3, :3] @ a)
+        d[3:, :3] = -hat3(pose[:3, 3])
+        d[3:, 3:] = np.eye(3)
+        return mix @ d
+
+    return TwistField("spatial", rate, jacobian=jacobian)
+
+
+def _newton_jacobian(cmap, field, pose, aux, h, state):
     _, twist, aux_rate, mid_pose, dmap_mat = _midpoint_residual(
-        cmap, problem.field, pose, 0.0, h, aux, state)
-    jacobian = _midpoint_jacobian(cmap, problem.field, pose, 0.0, h, aux,
-                                  state, twist, aux_rate, mid_pose, dmap_mat,
-                                  1e-7)
-    fd = np.zeros_like(jacobian)
+        cmap, field, pose, 0.0, h, aux, state)
+    return _midpoint_jacobian(cmap, field, pose, 0.0, h, aux, state, twist,
+                              aux_rate, mid_pose, dmap_mat, 1e-7)
+
+
+def _residual_central_difference(cmap, field, pose, aux, h, state):
+    fd = np.zeros((state.size, state.size))
     eps = 1e-6
     for j in range(state.size):
         up, down = state.copy(), state.copy()
         up[j] += eps
         down[j] -= eps
-        fd[:, j] = (residual_only(up) - residual_only(down)) / (2.0 * eps)
+        fd[:, j] = (_midpoint_residual(cmap, field, pose, 0.0, h, aux, up)[0]
+                    - _midpoint_residual(cmap, field, pose, 0.0, h, aux,
+                                         down)[0]) / (2.0 * eps)
+    return fd
+
+
+@pytest.mark.parametrize("path", ["analytic", "fallback"])
+def test_midpoint_jacobian_matches_finite_difference(path):
+    problem = make_heavy_top_problem()
+    field = problem.field
+    if path == "fallback":
+        field = dataclasses.replace(field, jacobian=None)
+    cmap = cayley_map()
+    pose = se3_exp(np.array([0.3, -0.1, 0.2, 0.0, 0.0, 0.0]))
+    aux = field.aux0
+    h = 0.05
+    state = np.concatenate([np.array([0.02, -0.01, 0.03, 0.0, 0.0, 0.0]),
+                            aux + 0.01])
+
+    jacobian = _newton_jacobian(cmap, field, pose, aux, h, state)
+    fd = _residual_central_difference(cmap, field, pose, aux, h, state)
     scale = np.max(np.abs(fd))
     assert np.max(np.abs(jacobian - fd)) / scale < 1e-5
+
+
+@pytest.mark.parametrize("kind", ["exponential", "cayley"])
+@pytest.mark.parametrize("name", ["heavy_top", "spatial"])
+def test_analytic_field_jacobian_agrees_with_fallback(name, kind):
+    if name == "heavy_top":
+        field = make_heavy_top_problem(momentum0=(0.4, -0.3, 0.8)).field
+    else:
+        field = _spatial_field()
+    cmap = coordinate_map(kind)
+    pose = se3_exp(np.array([0.3, -0.1, 0.2, 0.5, -0.4, 0.7]))
+    aux = field.aux0
+    h = 0.05
+    state = np.concatenate([np.array([0.02, -0.01, 0.03, 0.04, 0.01, -0.02]),
+                            aux + 0.01])
+
+    analytic = _newton_jacobian(cmap, field, pose, aux, h, state)
+    fallback = _newton_jacobian(
+        cmap, dataclasses.replace(field, jacobian=None), pose, aux, h, state)
+    scale = np.max(np.abs(analytic - np.eye(state.size)))
+    assert np.max(np.abs(analytic - fallback)) / scale < 1e-6
+    fd = _residual_central_difference(cmap, field, pose, aux, h, state)
+    assert np.max(np.abs(analytic - fd)) / scale < 1e-7
+
+
+@pytest.mark.parametrize("kind", ["exponential", "cayley"])
+def test_heavy_top_midpoint_same_with_fallback_jacobian(kind):
+    problem = make_heavy_top_problem(momentum0=(0.4, -0.3, 0.8))
+    fallback = dataclasses.replace(
+        problem, field=dataclasses.replace(problem.field, jacobian=None))
+    want = integrate(problem, "implicit_midpoint", kind, 1e-2, 1.0)
+    got = integrate(fallback, "implicit_midpoint", kind, 1e-2, 1.0)
+    assert np.max(np.abs(got.poses - want.poses)) <= 1e-12
+    assert np.max(np.abs(got.aux - want.aux)) <= 1e-12
+    np.testing.assert_array_equal(got.newton_iterations,
+                                  want.newton_iterations)
 
 
 def test_midpoint_newton_quadratic_convergence():
@@ -210,14 +277,44 @@ def test_trajectory_records():
     drift = trajectory.invariant_drift("energy")
     assert drift[0] == 0.0
     assert np.max(trajectory.orth_drift) < 1e-13
+    assert trajectory.newton_iterations.dtype.kind == "i"
+    assert_allclose(trajectory.newton_iterations, np.zeros(10))
+
+
+def test_midpoint_trajectory_records_newton_iterations():
+    problem = make_heavy_top_problem()
+    trajectory = integrate(problem, "implicit_midpoint", "cayley", 0.05, 0.5)
+    iterations = trajectory.newton_iterations
+    assert iterations.shape == (10,)
+    assert iterations.dtype.kind == "i"
+    assert np.all(iterations >= 1)
+    for k, t in enumerate(trajectory.times[:-1]):
+        step = implicit_midpoint_step(cayley_map(), problem.field,
+                                      trajectory.poses[k], t, 0.05,
+                                      trajectory.aux[k])
+        assert step.iterations == iterations[k]
 
 
 def test_integrate_rejects_bad_arguments():
     problem = make_constant_twist_problem()
     with pytest.raises(ValueError, match="unknown method"):
         integrate(problem, "leapfrog", "exp", 0.1, 1.0)
-    with pytest.raises(ValueError, match="must be positive"):
+    with pytest.raises(ValueError, match="must be finite and positive"):
         integrate(problem, "mk_rk4", "exp", -0.1, 1.0)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_non_finite_step_and_end_time_rejected(bad):
+    problem = make_heavy_top_problem()
+    match = "must be finite and positive"
+    for method in ("mk_rk4", "implicit_midpoint"):
+        with pytest.raises(ValueError, match=match):
+            integrate(problem, method, "exp", bad, 1.0)
+        with pytest.raises(ValueError, match=match):
+            integrate(problem, method, "exp", 0.1, bad)
+    for stepper in (mk_rk4_step, implicit_midpoint_step):
+        with pytest.raises(ValueError, match=match):
+            stepper(exponential_map(), problem.field, np.eye(4), 0.0, bad)
 
 
 def test_chart_violation_yields_partial_trajectory():
@@ -244,6 +341,29 @@ def test_newton_breakdown_yields_partial_trajectory():
                   max_newton_iters=1)
     assert isinstance(info.value.__cause__, NewtonConvergenceError)
     assert info.value.partial.times.shape == (1,)
+
+
+def test_midpoint_stops_at_first_non_finite_residual():
+    problem = make_heavy_top_problem(momentum0=(math.nan, 0.1, 1.0))
+    calls = []
+
+    def rate(t, pose, aux):
+        calls.append(t)
+        return problem.field.rate(t, pose, aux)
+
+    field = dataclasses.replace(problem.field, rate=rate)
+    with pytest.raises(NewtonConvergenceError,
+                       match="non-finite residual") as info:
+        implicit_midpoint_step(cayley_map(), field, np.eye(4), 0.0, 0.01)
+    assert math.isnan(info.value.residual)
+    assert len(calls) == 1
+
+    with pytest.raises(IntegrationError, match="step 1 of") as info:
+        integrate(problem, "implicit_midpoint", "cayley", 0.01, 1.0)
+    assert isinstance(info.value.__cause__, NewtonConvergenceError)
+    partial = info.value.partial
+    assert partial.times.shape == (1,)
+    assert partial.newton_iterations.shape == (0,)
 
 
 # ---------------------------------------------------------------------------
@@ -344,6 +464,8 @@ def test_beam_arclength_bookkeeping():
     assert trajectory.method == "piecewise"
     assert trajectory.map_kind == "cayley"
     assert trajectory.aux.shape == (7, 0)
+    assert trajectory.newton_iterations.dtype.kind == "i"
+    assert_allclose(trajectory.newton_iterations, np.zeros(6))
 
 
 def test_beam_rejects_bad_arguments():
