@@ -216,12 +216,15 @@ def _chart_pose(cmap: CoordinateMap, frame: str, pose: np.ndarray,
     return _compose(frame, pose, cmap.value(coords))
 
 
-def _coordinate_rate(cmap: CoordinateMap, frame: str, coords: np.ndarray,
-                     twist: np.ndarray) -> np.ndarray:
+def _chart_dmap_inv(cmap: CoordinateMap, frame: str,
+                    coords: np.ndarray) -> np.ndarray:
+    """The operator taking a twist to the coordinate rate at ``coords``:
+    ``dmap_inv(-coords)`` for a body field, ``dmap_inv(coords)`` for a
+    spatial one."""
     if not coords.any():
-        return cmap.dmap_inv_zero @ twist
+        return cmap.dmap_inv_zero
     sign = -1.0 if frame == "body" else 1.0
-    return cmap.dmap_inv(sign * coords) @ twist
+    return cmap.dmap_inv(sign * coords)
 
 
 def _require_finite_positive(what: str, *values) -> None:
@@ -250,8 +253,8 @@ def mk_rk4_step(cmap: CoordinateMap, field: TwistField, pose: np.ndarray,
     def rate(tau, coords, z):
         stage_pose = _chart_pose(cmap, field.frame, pose, coords)
         twist, aux_rate = field.rate(tau, stage_pose, z)
-        xdot = _coordinate_rate(cmap, field.frame, coords,
-                                np.asarray(twist, dtype=float))
+        xdot = (_chart_dmap_inv(cmap, field.frame, coords)
+                @ np.asarray(twist, dtype=float))
         return xdot, np.asarray(aux_rate, dtype=float)
 
     zero = np.zeros(6)
@@ -274,16 +277,12 @@ def _midpoint_residual(cmap: CoordinateMap, field: TwistField,
     ``state`` stacks the chart increment (first six entries) with the
     end-of-step auxiliary state.
     """
-    sign = -1.0 if field.frame == "body" else 1.0
     coords, z_end = state[:6], state[6:]
     mid_pose = _chart_pose(cmap, field.frame, pose, 0.5 * coords)
     twist, aux_rate = field.rate(t + 0.5 * h, mid_pose, 0.5 * (aux + z_end))
     twist = np.asarray(twist, dtype=float)
     aux_rate = np.asarray(aux_rate, dtype=float)
-    if coords.any():
-        dmap_mat = cmap.dmap_inv(sign * coords)
-    else:
-        dmap_mat = cmap.dmap_inv_zero
+    dmap_mat = _chart_dmap_inv(cmap, field.frame, coords)
     residual = np.concatenate([
         coords - h * (dmap_mat @ twist),
         z_end - aux - h * aux_rate,
@@ -394,10 +393,7 @@ def implicit_midpoint_step(cmap: CoordinateMap, field: TwistField,
     raise AssertionError("unreachable")
 
 
-_STEPPERS = {
-    "mk_rk4": mk_rk4_step,
-    "implicit_midpoint": implicit_midpoint_step,
-}
+_METHODS = ("mk_rk4", "implicit_midpoint")
 
 
 # ---------------------------------------------------------------------------
@@ -419,9 +415,9 @@ def integrate(problem: Problem, method: str = "mk_rk4",
     On a failed step (chart domain violation or Newton breakdown) raises
     IntegrationError carrying the partial trajectory accumulated so far.
     """
-    if method not in _STEPPERS:
+    if method not in _METHODS:
         raise ValueError(
-            f"unknown method {method!r}; expected one of {tuple(_STEPPERS)}"
+            f"unknown method {method!r}; expected one of {_METHODS}"
         )
     _require_finite_positive("step size and end time", h, t_end)
     cmap = coordinate_map(map_kind)

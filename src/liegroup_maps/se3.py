@@ -27,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Ad6, Screw, ad6, hat3, make_pose
+from .core import Ad6, Screw, _as_vec, ad6, hat3, make_pose
 from .scalars import (
     _adform_quad,
     _adform_quart,
@@ -84,10 +84,7 @@ _EYE6 = np.eye(6)
 def _screw6(screw, name: str = "screw") -> np.ndarray:
     if isinstance(screw, Screw):
         return screw.as_vector()
-    out = np.asarray(screw, dtype=float)
-    if out.shape != (6,):
-        raise ValueError(f"{name} must be a 6-vector, got shape {out.shape}")
-    return out
+    return _as_vec(screw, 6, name)
 
 
 def _blocks66(tl, bl, br) -> np.ndarray:
@@ -290,11 +287,7 @@ def se3_ddcay_inv_tangent(screw, twist) -> np.ndarray:
           + 0.5 * (hwa - hat3(hx @ wa) - hx @ hwa))
     low = 0.5 * (hat3(wl) - hat3(hy @ wa))
     br = 0.5 * (hwa - hx @ hwa)
-    out = np.zeros((6, 6))
-    out[:3, :3] = tl
-    out[3:, :3] = low
-    out[3:, 3:] = br
-    return out
+    return _blocks66(tl, low, br)
 
 
 # ---------------------------------------------------------------------------

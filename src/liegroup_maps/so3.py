@@ -20,7 +20,7 @@ import math
 
 import numpy as np
 
-from .core import ChartDomainError, hat3, is_rotation, vee3
+from .core import ChartDomainError, _as_vec, hat3, is_rotation, vee3
 from .scalars import (
     _cot_half_scaled,
     _dexp_lin_rate,
@@ -59,13 +59,6 @@ _LOG_NEAR_PI = math.pi - 1e-3
 _CAY_TRACE_GUARD = 1e-6
 
 
-def _vec3(v, name: str) -> np.ndarray:
-    out = np.asarray(v, dtype=float)
-    if out.shape != (3,):
-        raise ValueError(f"{name} must be a 3-vector, got shape {out.shape}")
-    return out
-
-
 # ---------------------------------------------------------------------------
 # Exponential chart
 # ---------------------------------------------------------------------------
@@ -77,7 +70,7 @@ def so3_exp(rotvec) -> np.ndarray:
     R = I + a*hat(x) + (b/2)*hat(x)**2 with a = sinc(phi), b the squared
     half-angle sinc, phi = |x|.
     """
-    x = _vec3(rotvec, "rotvec")
+    x = _as_vec(rotvec, 3, "rotvec")
     phi = math.sqrt(float(x @ x))
     hx = hat3(x)
     return _EYE3 + _sinc(phi) * hx + 0.5 * _sinc_sq_half(phi) * (hx @ hx)
@@ -126,7 +119,7 @@ def so3_dexp(rotvec) -> np.ndarray:
     D = I + (b/2)*hat(x) + d*hat(x)**2; maps rotation-vector velocities to
     body angular velocities.
     """
-    x = _vec3(rotvec, "rotvec")
+    x = _as_vec(rotvec, 3, "rotvec")
     phi = math.sqrt(float(x @ x))
     hx = hat3(x)
     return _EYE3 + 0.5 * _sinc_sq_half(phi) * hx + _dexp_quad(phi) * (hx @ hx)
@@ -138,7 +131,7 @@ def so3_dexp_inv(rotvec) -> np.ndarray:
     D^{-1} = I - hat(x)/2 + c*hat(x)**2 with c the quadratic inverse
     coefficient (limit 1/12).
     """
-    x = _vec3(rotvec, "rotvec")
+    x = _as_vec(rotvec, 3, "rotvec")
     phi = math.sqrt(float(x @ x))
     ensure_dexp_inv_domain(phi)
     hx = hat3(x)
@@ -148,8 +141,8 @@ def so3_dexp_inv(rotvec) -> np.ndarray:
 def so3_ddexp(rotvec, direction) -> np.ndarray:
     """Directional derivative of :func:`so3_dexp` at ``rotvec`` along
     ``direction``; smooth through x = 0."""
-    x = _vec3(rotvec, "rotvec")
-    u = _vec3(direction, "direction")
+    x = _as_vec(rotvec, 3, "rotvec")
+    u = _as_vec(direction, 3, "direction")
     phi = math.sqrt(float(x @ x))
     hx, hu = hat3(x), hat3(u)
     x_dot_u = float(x @ u)
@@ -161,8 +154,8 @@ def so3_ddexp(rotvec, direction) -> np.ndarray:
 
 def so3_ddexp_inv(rotvec, direction) -> np.ndarray:
     """Directional derivative of :func:`so3_dexp_inv`; requires |x| < 2*pi."""
-    x = _vec3(rotvec, "rotvec")
-    u = _vec3(direction, "direction")
+    x = _as_vec(rotvec, 3, "rotvec")
+    u = _as_vec(direction, 3, "direction")
     phi = math.sqrt(float(x @ x))
     ensure_dexp_inv_domain(phi)
     hx, hu = hat3(x), hat3(u)
@@ -179,7 +172,7 @@ def _dexp_raw_trig(rotvec) -> np.ndarray:
     cancellation control), so it is only accurate away from small angles.
     Used as an independent cross-check route.
     """
-    x = _vec3(rotvec, "rotvec")
+    x = _as_vec(rotvec, 3, "rotvec")
     phi = float(np.linalg.norm(x))
     if phi < 1e-8:
         return np.eye(3) + 0.5 * hat3(x)
@@ -196,7 +189,7 @@ def _rotation_lemma_routes(rotvec) -> dict[str, np.ndarray]:
     differential at x, which turns the adjoint of the exponential into four
     equivalent matrix identities; all must reproduce :func:`so3_exp`.
     """
-    x = _vec3(rotvec, "rotvec")
+    x = _as_vec(rotvec, 3, "rotvec")
     d = so3_dexp(x)
     d_inv_neg = so3_dexp_inv(-x)
     hx = hat3(x)
@@ -216,7 +209,7 @@ def _rotation_lemma_routes(rotvec) -> dict[str, np.ndarray]:
 
 def sigma(gibbs) -> float:
     """Cayley scaling factor 2/(1 + |g|**2)."""
-    g = _vec3(gibbs, "gibbs")
+    g = _as_vec(gibbs, 3, "gibbs")
     return 2.0 / (1.0 + float(g @ g))
 
 
@@ -226,7 +219,7 @@ def so3_cay(gibbs) -> np.ndarray:
     R = I + s*(hat(g) + hat(g)**2) with s = 2/(1 + |g|**2); rational, no
     trigonometry, covers every rotation except angle pi.
     """
-    g = _vec3(gibbs, "gibbs")
+    g = _as_vec(gibbs, 3, "gibbs")
     hg = hat3(g)
     return _EYE3 + sigma(g) * (hg + hg @ hg)
 
@@ -253,7 +246,7 @@ def so3_dcay(gibbs) -> np.ndarray:
 
     dcay = s*(I + hat(g)); equals 2*I at g = 0.
     """
-    g = _vec3(gibbs, "gibbs")
+    g = _as_vec(gibbs, 3, "gibbs")
     return sigma(g) * (_EYE3 + hat3(g))
 
 
@@ -262,7 +255,7 @@ def so3_dcay_inv(gibbs) -> np.ndarray:
 
     (1/s)*I + (hat(g)**2 - hat(g))/2; equals I/2 at g = 0.
     """
-    g = _vec3(gibbs, "gibbs")
+    g = _as_vec(gibbs, 3, "gibbs")
     hg = hat3(g)
     return (1.0 / sigma(g)) * _EYE3 + 0.5 * (hg @ hg - hg)
 
@@ -273,21 +266,21 @@ def _dcay_inv_via_rotation(gibbs) -> np.ndarray:
     Independent route through the assembled rotation matrix, used for
     cross-checking the matrix-polynomial form.
     """
-    g = _vec3(gibbs, "gibbs")
+    g = _as_vec(gibbs, 3, "gibbs")
     return (_EYE3 + so3_cay(g).T) / (2.0 * sigma(g))
 
 
 def so3_ddcay(gibbs, direction) -> np.ndarray:
     """Directional derivative of :func:`so3_dcay` along ``direction``."""
-    g = _vec3(gibbs, "gibbs")
-    w = _vec3(direction, "direction")
+    g = _as_vec(gibbs, 3, "gibbs")
+    w = _as_vec(direction, 3, "direction")
     s = sigma(g)
     return s * hat3(w) - s * s * float(g @ w) * (_EYE3 + hat3(g))
 
 
 def so3_ddcay_inv(gibbs, direction) -> np.ndarray:
     """Directional derivative of :func:`so3_dcay_inv` along ``direction``."""
-    g = _vec3(gibbs, "gibbs")
-    w = _vec3(direction, "direction")
+    g = _as_vec(gibbs, 3, "gibbs")
+    w = _as_vec(direction, 3, "direction")
     hg, hw = hat3(g), hat3(w)
     return float(g @ w) * _EYE3 + 0.5 * (hg @ hw + hw @ hg - hw)

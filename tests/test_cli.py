@@ -1,6 +1,7 @@
 """End-to-end exercises of the command-line interface."""
 
 import csv
+import hashlib
 import json
 import os
 import subprocess
@@ -20,7 +21,7 @@ from liegroup_maps import (
     so3_cay,
     so3_exp,
 )
-from liegroup_maps.cli import TRAJECTORY_COLUMNS, main
+from liegroup_maps.cli import TRAJECTORY_COLUMNS, _verify_ops, main
 from liegroup_maps.oracle import series_exp
 
 
@@ -134,6 +135,28 @@ def test_verify_all_runs_every_check(capsys):
     assert len(_rows(out)) == 1 + 39
 
 
+# sha256 of the (suite, check, tolerance, worst_x, worst_y) rows of
+# ``verify all --n 1 --seed 42``
+_PINNED_DRAWS_SHA256 = (
+    "c5eccf72c3cda4245e761eb0b522facc73b51ae09eecf4c536d0a5375b6c72a0")
+
+
+def test_verify_draws_are_pinned(capsys):
+    """With one sample per check the worst case is the sample itself, so this
+    digest pins every check's sampled inputs, in order, and none of the
+    BLAS-dependent residuals.  A change of NumPy's ``Generator`` streams is
+    the one legitimate reason to re-capture the constant; anything else that
+    moves it changed which inputs the checks draw."""
+    code, out, _ = _run(capsys, ["verify", "all", "--n", "1", "--seed", "42",
+                                 "--format", "json"])
+    assert code == 0
+    rows = [[c["suite"], c["check"], c["tolerance"], c["worst_x"], c["worst_y"]]
+            for c in json.loads(out)["checks"]]
+    assert len(rows) == 39
+    digest = hashlib.sha256(json.dumps(rows).encode()).hexdigest()
+    assert digest == _PINNED_DRAWS_SHA256
+
+
 def test_verify_payload_deterministic(capsys):
     _, first, _ = _run(capsys, ["verify", "cayley", "--n", "10", "--seed", "3"])
     _, second, _ = _run(capsys, ["verify", "cayley", "--n", "10", "--seed", "3"])
@@ -163,6 +186,15 @@ def test_fault_injection_fails_verify(capsys, monkeypatch):
     assert any(row[5] == "fail" for row in _rows(out)[1:])
     assert "verify failure" in err
     assert "--x" in err  # worst case echoed re-runnably
+
+
+@pytest.mark.parametrize("target", list(_verify_ops()))
+def test_every_fault_target_fails_verify(capsys, monkeypatch, target):
+    # an operation that no check calls would let its injected fault pass
+    monkeypatch.setenv("LIEGROUP_MAPS_FAULT_INJECT", target)
+    code, _, err = _run(capsys, ["verify", "all", "--n", "3"])
+    assert code == 1
+    assert "verify failure" in err
 
 
 def test_fault_injection_leaves_library_untouched(capsys, monkeypatch):
