@@ -42,9 +42,8 @@ import numpy as np
 from .core import Ad6, ChartDomainError, ad6, hat3, hat6
 from .integrate import (
     IntegrationError,
-    beam_reconstruct,
+    _beam_problem,
     convergence_study,
-    final_pose_deviation,
     helix_strain,
     integrate,
     make_problem,
@@ -584,7 +583,6 @@ def cmd_verify(args) -> int:
 
 INTEGRATE_PROBLEMS = ("constant_twist", "heavy_top", "beam_helix",
                       "beam_varying")
-_BEAM_PROBLEMS = ("beam_helix", "beam_varying")
 
 TRAJECTORY_COLUMNS = ["t", "r1", "r2", "r3",
                       "R11", "R12", "R13", "R21", "R22", "R23",
@@ -592,14 +590,16 @@ TRAJECTORY_COLUMNS = ["t", "r1", "r2", "r3",
                       "inv_drift_orth", "inv_drift_energy"]
 
 
-def _beam_trajectory(problem: str, length: float, segment: float,
-                     map_kind: str):
-    if length <= 0.0 or segment <= 0.0:
-        raise CliError("--h and --t-end must be positive")
-    segments = max(1, round(length / segment))
-    strain = helix_strain() if problem == "beam_helix" else varying_strain(length)
-    return beam_reconstruct(strain, length, segments, map_kind=map_kind,
-                            problem_name=problem)
+def _cli_problem(args):
+    """The named problem and the method it runs with.  A beam is a body
+    strain over the arclength ``--t-end`` and always steps piecewise;
+    ``--method`` does not apply to it."""
+    if args.problem == "beam_helix":
+        return _beam_problem(helix_strain(), args.problem), "piecewise"
+    if args.problem == "beam_varying":
+        return (_beam_problem(varying_strain(args.t_end), args.problem),
+                "piecewise")
+    return make_problem(args.problem), args.method
 
 
 def _trajectory_rows(traj):
@@ -619,19 +619,14 @@ def _trajectory_rows(traj):
 
 
 def cmd_integrate(args) -> int:
+    problem, method = _cli_problem(args)
     error = None
-    if args.problem in _BEAM_PROBLEMS:
-        # for beams --t-end is the arclength and --h the segment size;
-        # --method does not apply (piecewise reconstruction)
-        traj = _beam_trajectory(args.problem, args.t_end, args.h, args.map)
-    else:
-        problem = make_problem(args.problem)
-        try:
-            traj = integrate(problem, method=args.method, map_kind=args.map,
-                             h=args.h, t_end=args.t_end)
-        except IntegrationError as err:
-            traj = err.partial
-            error = str(err)
+    try:
+        traj = integrate(problem, method=method, map_kind=args.map, h=args.h,
+                         t_end=args.t_end)
+    except IntegrationError as err:
+        traj = err.partial
+        error = str(err)
 
     rows = _trajectory_rows(traj)
     if args.format == "json":
@@ -652,7 +647,7 @@ def cmd_integrate(args) -> int:
             f" --t-end {_fmt(args.t_end)}",
             _timestamp_comment(),
         ]
-        if args.problem in _BEAM_PROBLEMS:
+        if method == "piecewise":
             comments.append("# beam problem: t is arclength, h the segment "
                             "size; --method does not apply")
         trailing = [f"# error: {error}"] if error else []
@@ -673,28 +668,6 @@ def cmd_integrate(args) -> int:
 _EXACT_FLOOR = 1e-11
 
 
-def _beam_convergence(problem: str, length: float, h_list, map_kind: str):
-    h_sorted = sorted(h_list, reverse=True)
-    for h in h_sorted:
-        if abs(length / h - round(length / h)) > 1e-9 * max(1.0, length / h):
-            raise CliError(f"segment size {h!r} does not divide the length")
-    reference_h = min(h_sorted) / 8.0
-    reference = _beam_trajectory(problem, length, reference_h, "exponential")
-    errors = [final_pose_deviation(reference.final_pose,
-                                   _beam_trajectory(problem, length, h,
-                                                    map_kind).final_pose)
-              for h in h_sorted]
-    return h_sorted, errors
-
-
-def _pairwise_orders(h_sorted, errors):
-    orders = []
-    for k in range(1, len(h_sorted)):
-        ratio = errors[k - 1] / errors[k] if errors[k] > 0 else float("inf")
-        orders.append(math.log(ratio) / math.log(h_sorted[k - 1] / h_sorted[k]))
-    return orders
-
-
 def cmd_convergence(args) -> int:
     try:
         h_list = [float(p) for p in args.h_list.split(",")]
@@ -704,37 +677,22 @@ def cmd_convergence(args) -> int:
     if len(h_list) < 3:
         raise CliError("--h-list needs at least three step sizes")
 
-    if args.problem in _BEAM_PROBLEMS:
-        h_sorted, errors = _beam_convergence(args.problem, args.t_end,
-                                             h_list, args.map)
-        orders = _pairwise_orders(h_sorted, errors)
-    else:
-        problem = make_problem(args.problem)
-        try:
-            study = convergence_study(problem, [args.method], args.map,
-                                      h_list, args.t_end)
-        except ValueError as err:
-            raise CliError(str(err))
-        result = study[args.method]
-        h_sorted = list(result.step_sizes)
-        errors = list(result.errors)
-        orders = list(result.pairwise_orders)
-
-    at_floor = [err < _EXACT_FLOOR for err in errors]
+    problem, method = _cli_problem(args)
+    result = convergence_study(problem, [method], args.map, h_list,
+                               args.t_end)[method]
+    h_sorted = result.step_sizes
+    at_floor = [err < _EXACT_FLOOR for err in result.errors]
     rows = []
-    for k, (h, err) in enumerate(zip(h_sorted, errors)):
+    for k, (h, err) in enumerate(zip(h_sorted, result.errors)):
         if at_floor[k]:
             order_cell = "exact"
         elif k == 0:
             order_cell = None
         else:
-            order_cell = orders[k - 1]
+            order_cell = result.pairwise_orders[k - 1]
         rows.append([h, err, order_cell])
 
-    if any(at_floor):
-        slope = None
-    else:
-        slope = float(np.polyfit(np.log(h_sorted), np.log(errors), 1)[0])
+    slope = None if any(at_floor) else result.slope
 
     if args.format == "json":
         payload = {

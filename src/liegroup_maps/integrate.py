@@ -7,16 +7,18 @@ the step closes with ``C <- C @ map(X_h)`` (body) or ``C <- map(X_h) @ C``
 (spatial).  The pose is always a product of exact group elements, so
 orthonormality is preserved to rounding regardless of step size.
 
-Two steppers are provided: a classical RK4 run through the chart, and an
-implicit midpoint rule whose Newton iteration assembles the tangent matrix by
-the chain rule: the analytic directional derivative of ``dmap_inv``, the
-chart differential ``dmap`` at the half increment, and the field's own
-Jacobian (forward differences stand in for fields that do not supply one).
+Three steppers are provided: a classical RK4 run through the chart, a
+piecewise rule that freezes the field at the step midpoint (beams use it in
+arclength), and an implicit midpoint rule whose Newton iteration assembles
+the tangent matrix by the chain rule: the analytic directional derivative of
+``dmap_inv``, the chart differential ``dmap`` at the half increment, and the
+field's own Jacobian (forward differences stand in for fields without one).
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, field as dataclass_field
 from typing import Callable, Mapping, Sequence
 
@@ -36,6 +38,7 @@ from .se3 import (
 
 _FRAMES = ("body", "spatial")
 _E3 = np.array([0.0, 0.0, 1.0])
+_FD_STEP = 1e-7     # forward-difference step of the field Jacobian fallback
 
 
 def _cross3(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -174,7 +177,7 @@ class Trajectory:
     """Uniformly sampled motion with per-sample invariant records.
 
     ``newton_iterations`` holds one count per step: the Newton updates of an
-    implicit-midpoint step, 0 for explicit steps and beam segments.
+    implicit-midpoint step, 0 for explicit and piecewise steps.
     """
 
     times: np.ndarray
@@ -292,10 +295,10 @@ def _midpoint_residual(cmap: CoordinateMap, field: TwistField,
 
 def _field_jacobian_fd(field: TwistField, t: float, pose: np.ndarray,
                        aux: np.ndarray, twist: np.ndarray,
-                       aux_rate: np.ndarray, fd_step: float) -> np.ndarray:
+                       aux_rate: np.ndarray) -> np.ndarray:
     """Forward-difference stand-in for ``TwistField.jacobian``: the pose
-    moves by ``exp(fd_step * e_j)`` in the field's frame, the auxiliary state
-    by ``fd_step * e_j``."""
+    moves by ``exp(_FD_STEP * e_j)`` in the field's frame, the auxiliary
+    state by ``_FD_STEP * e_j``."""
     n = 6 + aux.size
     base = np.concatenate([twist, aux_rate])
     out = np.empty((n, n))
@@ -303,21 +306,20 @@ def _field_jacobian_fd(field: TwistField, t: float, pose: np.ndarray,
         bumped_pose, bumped_aux = pose, aux
         if j < 6:
             step = np.zeros(6)
-            step[j] = fd_step
+            step[j] = _FD_STEP
             bumped_pose = _compose(field.frame, pose, se3_exp(step))
         else:
             bumped_aux = aux.copy()
-            bumped_aux[j - 6] += fd_step
+            bumped_aux[j - 6] += _FD_STEP
         twist_up, rate_up = field.rate(t, bumped_pose, bumped_aux)
-        out[:, j] = (np.concatenate([twist_up, rate_up]) - base) / fd_step
+        out[:, j] = (np.concatenate([twist_up, rate_up]) - base) / _FD_STEP
     return out
 
 
-def _midpoint_jacobian(cmap: CoordinateMap, field: TwistField,
-                       pose: np.ndarray, t: float, h: float, aux: np.ndarray,
-                       state: np.ndarray, twist: np.ndarray,
-                       aux_rate: np.ndarray, mid_pose: np.ndarray,
-                       dmap_mat: np.ndarray, fd_step: float):
+def _midpoint_jacobian(cmap: CoordinateMap, field: TwistField, t: float,
+                       h: float, aux: np.ndarray, state: np.ndarray,
+                       twist: np.ndarray, aux_rate: np.ndarray,
+                       mid_pose: np.ndarray, dmap_mat: np.ndarray):
     """Newton Jacobian of the midpoint residual by the chain rule.
 
     The field Jacobian is taken at the midpoint with respect to the pose
@@ -333,7 +335,7 @@ def _midpoint_jacobian(cmap: CoordinateMap, field: TwistField,
     aux_mid = 0.5 * (aux + z_end)
     if field.jacobian is None:
         field_jac = _field_jacobian_fd(field, t_mid, mid_pose, aux_mid, twist,
-                                       aux_rate, fd_step)
+                                       aux_rate)
     else:
         field_jac = np.asarray(field.jacobian(t_mid, mid_pose, aux_mid),
                                dtype=float)
@@ -386,14 +388,25 @@ def implicit_midpoint_step(cmap: CoordinateMap, field: TwistField,
                 f"(last residual {res_norm:.3e})",
                 res_norm,
             )
-        jacobian = _midpoint_jacobian(cmap, field, pose, t, h, aux, state,
-                                      twist, aux_rate, mid_pose, dmap_mat,
-                                      1e-7)
+        jacobian = _midpoint_jacobian(cmap, field, t, h, aux, state, twist,
+                                      aux_rate, mid_pose, dmap_mat)
         state = state - np.linalg.solve(jacobian, residual)
     raise AssertionError("unreachable")
 
 
-_METHODS = ("mk_rk4", "implicit_midpoint")
+def _piecewise_step(cmap: CoordinateMap, field: TwistField, pose: np.ndarray,
+                    t: float, h: float, aux: np.ndarray) -> StepResult:
+    """Advance one step with the field frozen at the step midpoint: the
+    increment is ``h * dmap_inv(0) @ twist(t + h/2)``, consistent for every
+    chart convention, and the auxiliary state moves by ``h * aux_rate``.  The
+    field sees the pose and auxiliary state at the start of the step."""
+    twist, aux_rate = field.rate(t + 0.5 * h, pose, aux)
+    coords = h * (cmap.dmap_inv_zero @ np.asarray(twist, dtype=float))
+    return StepResult(_chart_pose(cmap, field.frame, pose, coords),
+                      aux + h * np.asarray(aux_rate, dtype=float), coords)
+
+
+_METHODS = ("mk_rk4", "implicit_midpoint", "piecewise")
 
 
 # ---------------------------------------------------------------------------
@@ -412,7 +425,9 @@ def integrate(problem: Problem, method: str = "mk_rk4",
               max_newton_iters: int = 20) -> Trajectory:
     """Uniformly step a problem from t=0 to t_end, recording invariant drift.
 
-    On a failed step (chart domain violation or Newton breakdown) raises
+    The run takes ``n = max(1, round(t_end / h))`` steps of ``t_end / n``, so
+    it always ends at ``t_end``; ``Trajectory.step`` is the step taken.  On a
+    failed step (chart domain violation or Newton breakdown) raises
     IntegrationError carrying the partial trajectory accumulated so far.
     """
     if method not in _METHODS:
@@ -422,7 +437,8 @@ def integrate(problem: Problem, method: str = "mk_rk4",
     _require_finite_positive("step size and end time", h, t_end)
     cmap = coordinate_map(map_kind)
     field = problem.field
-    n_steps = max(1, int(round(t_end / h)))
+    n_steps = max(1, round(t_end / h))
+    h = t_end / n_steps
 
     names = tuple(problem.invariants)
     times, poses, auxes, orth, values, iterations = [], [], [], [], [], []
@@ -459,6 +475,8 @@ def integrate(problem: Problem, method: str = "mk_rk4",
                 result = implicit_midpoint_step(
                     cmap, field, pose, t, h, aux,
                     newton_tol=newton_tol, max_iters=max_newton_iters)
+            elif method == "piecewise":
+                result = _piecewise_step(cmap, field, pose, t, h, aux)
             else:
                 result = mk_rk4_step(cmap, field, pose, t, h, aux)
         except (ChartDomainError, NewtonConvergenceError) as err:
@@ -468,7 +486,7 @@ def integrate(problem: Problem, method: str = "mk_rk4",
             ) from err
         pose, aux = result.pose, result.aux
         iterations.append(result.iterations)
-        record((k + 1) * h, pose, aux)
+        record(t_end if k + 1 == n_steps else (k + 1) * h, pose, aux)
     return build()
 
 
@@ -585,48 +603,27 @@ def varying_strain(length: float, base_curvature: float = 0.5,
     return strain
 
 
+def _beam_problem(strain, name: str) -> Problem:
+    """A beam as an arclength problem: the body field is the strain."""
+
+    def rate(s, pose, aux):
+        return strain(s), np.zeros(0)
+
+    return Problem(name, TwistField("body", rate), np.eye(4))
+
+
 def beam_reconstruct(strain, length: float, segments: int,
                      map_kind="exponential",
                      problem_name: str = "beam") -> Trajectory:
-    """Reconstruct a beam centreline from a body strain profile.
-
-    Piecewise update: each segment freezes the strain at its midpoint and
-    advances ``C <- C @ map(h * dmap_inv(0) @ strain)``; the ``dmap_inv(0)``
-    factor makes the segment increment consistent for every chart
-    convention.  For constant strain the exponential chart is exact with a
-    single segment.
-    """
-    if segments < 1:
+    """Reconstruct a beam centreline from a body strain profile: the
+    piecewise rule over arclength ``length``.  For constant strain the
+    exponential chart is exact with a single segment."""
+    if operator.index(segments) < 1:   # TypeError for a non-integer count
         raise ValueError("need at least one segment")
     if length <= 0.0:
         raise ValueError("length must be positive")
-    cmap = coordinate_map(map_kind)
-    h = length / segments
-    scale = cmap.dmap_inv_zero
-
-    times, poses, orth = [0.0], [np.eye(4)], [0.0]
-    pose = poses[0]
-    for k in range(segments):
-        mid = (k + 0.5) * h
-        coords = h * (scale @ np.asarray(strain(mid), dtype=float))
-        pose = pose @ cmap.value(coords)
-        times.append((k + 1) * h)
-        poses.append(pose)
-        orth.append(_orth_drift(pose))
-    n = len(times)
-    return Trajectory(
-        times=np.array(times),
-        poses=np.array(poses),
-        aux=np.zeros((n, 0)),
-        step=h,
-        map_kind=cmap.kind,
-        method="piecewise",
-        problem=problem_name,
-        invariant_names=(),
-        invariant_values=np.zeros((n, 0)),
-        orth_drift=np.array(orth),
-        newton_iterations=np.zeros(segments, dtype=int),
-    )
+    return integrate(_beam_problem(strain, problem_name), "piecewise",
+                     map_kind, length / segments, length)
 
 
 # ---------------------------------------------------------------------------
@@ -666,6 +663,8 @@ def convergence_study(problem: Problem, methods: Sequence[str], map_kind,
         raise ValueError("need at least three step sizes")
     if reference_h is None:
         reference_h = min(h_list) / 8.0
+    _require_finite_positive("step sizes and end time", t_end, reference_h,
+                             *h_list)
     for h in [*h_list, reference_h]:
         if abs(round(t_end / h) * h - t_end) > 1e-9 * max(1.0, abs(t_end)):
             raise ValueError(

@@ -2,14 +2,15 @@
 
 Nothing here shares code with the closed-form implementations: the series
 oracles are plain truncated matrix Taylor sums, the inverse-differential
-oracle uses the frozen coefficients of z/(exp(z) - 1), the directional
-derivative oracle is a central finite difference, and the Cayley oracle is a
-linear solve.  Tests compare every production formula against at least one
-of these routes.
+oracle uses the Bernoulli coefficients of z/(exp(z) - 1) from their own
+integer recurrence, the directional derivative oracle is a central finite
+difference, and the Cayley oracle is a linear solve.  Tests compare every
+production formula against at least one of these routes.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable
 
@@ -35,50 +36,33 @@ class SeriesConfig:
 
 _DEFAULT_CONFIG = SeriesConfig()
 
-# Coefficients b_k of z/(exp(z) - 1) = sum b_k z**k, frozen to double
-# precision.  b_1 = -1/2 is built in, so there is no sign-convention
-# ambiguity; odd coefficients beyond b_1 vanish.
-_INV_TANGENT_SERIES = (
-    1.0,
-    -0.5,
-    0.08333333333333333,
-    0.0,
-    -0.001388888888888889,
-    0.0,
-    3.306878306878307e-05,
-    0.0,
-    -8.267195767195768e-07,
-    0.0,
-    2.08767569878681e-08,
-    0.0,
-    -5.284190138687493e-10,
-    0.0,
-    1.3382536530684679e-11,
-    0.0,
-    -3.3896802963225827e-13,
-    0.0,
-    8.586062056277845e-15,
-    0.0,
-    -2.174868698558062e-16,
-    0.0,
-    5.5090028283602295e-18,
-    0.0,
-    -1.3954464685812522e-19,
-    0.0,
-    3.534707039629467e-21,
-    0.0,
-    -8.953517427037546e-23,
-    0.0,
-    2.267952452337683e-24,
-    0.0,
-    -5.744790668872202e-26,
-    0.0,
-    1.455172475614865e-27,
-    0.0,
-    -3.6859949406653103e-29,
-    0.0,
-    9.336734257095045e-31,
-)
+
+def _inv_tangent_series(n_terms: int) -> tuple:
+    """Coefficients b_k = B_k / k! of z/(exp(z) - 1) = sum b_k z**k, each
+    the correctly rounded double of the exact rational.
+
+    With S = n_terms!, every I_m = S * B_m (m < n_terms) is an integer: the
+    denominator of B_m is square-free with prime factors at most m + 1
+    (von Staudt-Clausen).  The recurrence sum_{j<=m} C(m+1, j) B_j = 0 then
+    gives each I_m by exact integer division, and each b_k is one int/int
+    division.  b_1 = -1/2 follows from the recurrence, so there is no
+    sign-convention ambiguity; odd coefficients beyond b_1 vanish and are
+    not summed.
+    """
+    scale = math.factorial(n_terms)
+    scaled = [scale]
+    for m in range(1, n_terms):
+        if m > 1 and m % 2:
+            scaled.append(0)
+            continue
+        total = sum(math.comb(m + 1, j) * scaled[j] for j in range(m)
+                    if scaled[j])
+        scaled.append(-total // (m + 1))
+    return tuple(num / (scale * math.factorial(k))
+                 for k, num in enumerate(scaled))
+
+
+_INV_TANGENT_SERIES = _inv_tangent_series(39)
 
 # The z/(exp(z)-1) series has convergence radius 2*pi; with the table above
 # the truncation tail stays below ~1e-19 for matrix norms up to 2.
@@ -133,7 +117,7 @@ def series_dexp(m, config: SeriesConfig = _DEFAULT_CONFIG) -> np.ndarray:
 def series_dexp_inv(m, config: SeriesConfig = _DEFAULT_CONFIG) -> np.ndarray:
     """Inverse of the exponential differential via the z/(exp(z)-1) series.
 
-    Only valid for small matrices: the series radius is 2*pi and the frozen
+    Only valid for small matrices: the series radius is 2*pi and the
     coefficient table is truncated, so the Frobenius norm is capped at 2.
     """
     m = _as_square(m)

@@ -22,7 +22,6 @@ import numpy as np
 
 from .core import ChartDomainError, _as_vec, hat3, is_rotation, vee3
 from .scalars import (
-    _cot_half_scaled,
     _dexp_lin_rate,
     _dexp_quad,
     _dexp_quad_rate,

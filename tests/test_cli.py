@@ -261,6 +261,17 @@ def test_integrate_beam_single_segment_exact(capsys):
                                atol=1e-12)
 
 
+@pytest.mark.parametrize("argv", [
+    ["integrate", "--problem", "beam_helix", "--h", "0.1", "--t-end", "inf"],
+    ["convergence", "--problem", "heavy_top", "--h-list", "0.1,0.05,0.025",
+     "--t-end", "inf"],
+], ids=["integrate_beam", "convergence"])
+def test_non_finite_end_time_exits_2(capsys, argv):
+    code, _, err = _run(capsys, argv)
+    assert code == 2
+    assert "finite and positive" in err
+
+
 def test_integrate_json_mirror(capsys):
     code, out, _ = _run(capsys, ["integrate", "--problem", "constant_twist",
                                  "--h", "0.5", "--t-end", "1",
@@ -297,6 +308,16 @@ def test_convergence_midpoint_observed_order(capsys):
     body = _rows(out)[1:]
     assert body[0][2] == ""  # no previous error to pair with
     orders = [float(row[2]) for row in body[1:]]
+    assert all(1.7 < order < 2.3 for order in orders)
+
+
+def test_convergence_beam_cayley_second_order(capsys):
+    code, out, _ = _run(capsys, ["convergence", "--problem", "beam_varying",
+                                 "--map", "cay", "--h-list", "0.5,0.25,0.125",
+                                 "--t-end", "2"])
+    assert code == 0
+    orders = [float(row[2]) for row in _rows(out)[2:]]
+    assert len(orders) == 2
     assert all(1.7 < order < 2.3 for order in orders)
 
 

@@ -172,8 +172,8 @@ def _spatial_field():
 def _newton_jacobian(cmap, field, pose, aux, h, state):
     _, twist, aux_rate, mid_pose, dmap_mat = _midpoint_residual(
         cmap, field, pose, 0.0, h, aux, state)
-    return _midpoint_jacobian(cmap, field, pose, 0.0, h, aux, state, twist,
-                              aux_rate, mid_pose, dmap_mat, 1e-7)
+    return _midpoint_jacobian(cmap, field, 0.0, h, aux, state, twist,
+                              aux_rate, mid_pose, dmap_mat)
 
 
 def _residual_central_difference(cmap, field, pose, aux, h, state):
@@ -317,6 +317,34 @@ def test_non_finite_step_and_end_time_rejected(bad):
             stepper(exponential_map(), problem.field, np.eye(4), 0.0, bad)
 
 
+@pytest.mark.parametrize("h, n_steps", [(0.3, 3), (5.0, 1), (0.0204, 49)])
+def test_run_ends_at_t_end_when_step_does_not_divide(h, n_steps):
+    # n = round(t_end / h) steps of t_end / n; 49 * (1 / 49) rounds below 1
+    trajectory = integrate(make_heavy_top_problem(), "mk_rk4", "exponential",
+                           h, 1.0)
+    assert trajectory.times.shape == (n_steps + 1,)
+    assert trajectory.times[-1] == 1.0
+    assert trajectory.step == 1.0 / n_steps
+
+
+def test_piecewise_freezes_field_at_step_midpoint():
+    # a twist and an auxiliary rate growing linearly in time: the midpoint
+    # rule integrates both exactly, and on the exponential chart the parallel
+    # increments compose to the exact flow exp(TWIST * t_end**2 / 2)
+    def rate(t, pose, aux):
+        return t * TWIST, np.array([t])
+
+    problem = Problem("ramp", TwistField("body", rate, aux0=np.zeros(1)),
+                      np.eye(4))
+    trajectory = integrate(problem, "piecewise", "exponential", 0.25, 1.0)
+    assert trajectory.method == "piecewise"
+    assert final_pose_deviation(se3_exp(0.5 * TWIST),
+                                trajectory.final_pose) < 1e-13
+    assert_allclose(trajectory.aux[:, 0], 0.5 * trajectory.times**2,
+                    rtol=1e-15)
+    assert_allclose(trajectory.newton_iterations, np.zeros(4))
+
+
 def test_chart_violation_yields_partial_trajectory():
     # field switches to a violent spin after t=0.5: the RK4 stage leaves
     # the exponential chart and the driver reports the work done so far
@@ -411,6 +439,21 @@ def test_observed_orders_on_heavy_top():
         assert result.errors[0] > result.errors[-1]
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_convergence_study_rejects_non_finite_input(bad):
+    problem = make_heavy_top_problem()
+    steps = [0.1, 0.05, 0.025]
+    match = "must be finite and positive"
+    with pytest.raises(ValueError, match=match):
+        convergence_study(problem, ["mk_rk4"], "exponential", steps, bad)
+    with pytest.raises(ValueError, match=match):
+        convergence_study(problem, ["mk_rk4"], "exponential",
+                          [0.1, bad, 0.025], 1.0)
+    with pytest.raises(ValueError, match=match):
+        convergence_study(problem, ["mk_rk4"], "exponential", steps, 1.0,
+                          reference_h=bad)
+
+
 def test_convergence_study_rejects_non_dividing_steps():
     problem = make_heavy_top_problem()
     with pytest.raises(ValueError, match="does not divide"):
@@ -473,3 +516,5 @@ def test_beam_rejects_bad_arguments():
         beam_reconstruct(helix_strain(), 1.0, 0)
     with pytest.raises(ValueError, match="length must be positive"):
         beam_reconstruct(helix_strain(), -1.0, 4)
+    with pytest.raises(TypeError):
+        beam_reconstruct(helix_strain(), 1.0, 2.5)

@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -7,6 +8,7 @@ from scipy.linalg import expm
 
 from liegroup_maps.core import hat3
 from liegroup_maps.oracle import (
+    _INV_TANGENT_SERIES,
     SeriesConfig,
     fd_directional,
     resolvent_cay,
@@ -53,6 +55,22 @@ def test_series_dexp_and_inverse_cancel_on_matrices():
         m = RNG.standard_normal((3, 3)) * 0.4
         prod = series_dexp(m) @ series_dexp_inv(m)
         assert_allclose(prod, np.eye(3), atol=1e-13)
+
+
+def test_inv_tangent_series_is_correctly_rounded_bernoulli():
+    # Akiyama-Tanigawa in exact rationals, a second algorithm for B_k; it
+    # gives B_1 = +1/2, the coefficient of z/(1 - exp(-z))
+    n = len(_INV_TANGENT_SERIES)
+    table = [Fraction(0)] * n
+    bernoulli = []
+    for m in range(n):
+        table[m] = Fraction(1, m + 1)
+        for j in range(m, 0, -1):
+            table[j - 1] = j * (table[j - 1] - table[j])
+        bernoulli.append(table[0])
+    bernoulli[1] = -bernoulli[1]
+    want = tuple(float(b / math.factorial(k)) for k, b in enumerate(bernoulli))
+    assert _INV_TANGENT_SERIES == want
 
 
 def test_series_dexp_inv_norm_cap():

@@ -208,6 +208,25 @@ def test_ddcay_inv_tangent_columns():
         assert_allclose(got, want, atol=1e-13)
 
 
+@pytest.mark.parametrize("assembly, dmap_inv", [
+    (se3_ddexp_inv_tangent, se3_dexp_inv),
+    (se3_ddcay_inv_tangent, se3_dcay_inv),
+], ids=["exp", "cay"])
+def test_inv_tangent_matches_finite_difference(assembly, dmap_inv):
+    # a route apart from se3_dd*_inv: column j is the central difference of
+    # x -> dmap_inv(x) @ v along the j-th basis vector
+    rng = np.random.default_rng(11)
+    for _ in range(50):
+        axis = rng.standard_normal(3)
+        s = np.concatenate([rng.uniform(0.0, 2.5) * axis / np.linalg.norm(axis),
+                            rng.standard_normal(3)])
+        v = rng.standard_normal(6)
+        want = np.column_stack([
+            fd_directional(lambda x: dmap_inv(x) @ v, s, e) for e in np.eye(6)
+        ])
+        assert_allclose(assembly(s, v), want, atol=1e-6)
+
+
 # ---------------------------------------------------------------------------
 # Cayley chart
 # ---------------------------------------------------------------------------
