@@ -13,14 +13,10 @@ Conventions used throughout the package:
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass
-
 import numpy as np
 
 __all__ = [
     "ChartDomainError",
-    "Screw",
     "hat3",
     "vee3",
     "hat6",
@@ -181,38 +177,3 @@ def is_rotation(rot, tol: float = _ORTHONORMALITY_TOL) -> bool:
     if np.abs(rot.T @ rot - np.eye(3)).max() > tol:
         return False
     return float(np.linalg.det(rot)) > 0.0
-
-
-@dataclass(frozen=True)
-class Screw:
-    """A screw X = (ang, lin): rotation vector plus translation vector.
-
-    The angular block comes first in the flat 6-vector form.
-    """
-
-    ang: np.ndarray
-    lin: np.ndarray
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "ang", _as_vec(self.ang, 3, "ang"))
-        object.__setattr__(self, "lin", _as_vec(self.lin, 3, "lin"))
-
-    @classmethod
-    def from_vector(cls, screw) -> "Screw":
-        screw = _as_vec(screw, 6, "screw")
-        return cls(screw[:3], screw[3:])
-
-    def as_vector(self) -> np.ndarray:
-        return np.concatenate([self.ang, self.lin])
-
-    @property
-    def pitch(self) -> float:
-        """Translation advance per unit rotation angle, x.y/|x|^2.
-
-        A pure translation (zero angular part) has infinite pitch; the
-        explicit marker math.inf is returned in that case.
-        """
-        sq = float(self.ang @ self.ang)
-        if sq == 0.0:
-            return math.inf
-        return float(self.ang @ self.lin) / sq

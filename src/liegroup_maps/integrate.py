@@ -236,6 +236,15 @@ def _require_finite_positive(what: str, *values) -> None:
             raise ValueError(f"{what} must be finite and positive")
 
 
+def _step_count(h: float, t_end: float) -> int:
+    """round(t_end / h) for a finite, positive h and t_end."""
+    ratio = t_end / h
+    if ratio == math.inf:
+        raise ValueError(f"step count t_end/h overflows: t_end={t_end!r}, "
+                         f"h={h!r}")
+    return round(ratio)
+
+
 def _field_aux(field: TwistField, aux) -> np.ndarray:
     if aux is None:
         return field.aux0.copy()
@@ -426,9 +435,10 @@ def integrate(problem: Problem, method: str = "mk_rk4",
     """Uniformly step a problem from t=0 to t_end, recording invariant drift.
 
     The run takes ``n = max(1, round(t_end / h))`` steps of ``t_end / n``, so
-    it always ends at ``t_end``; ``Trajectory.step`` is the step taken.  On a
-    failed step (chart domain violation or Newton breakdown) raises
-    IntegrationError carrying the partial trajectory accumulated so far.
+    it always ends at ``t_end``; ``Trajectory.step`` is the step taken, and
+    a ratio ``t_end / h`` that overflows raises ValueError.  On a failed step
+    (chart domain violation or Newton breakdown) raises IntegrationError
+    carrying the partial trajectory accumulated so far.
     """
     if method not in _METHODS:
         raise ValueError(
@@ -437,7 +447,7 @@ def integrate(problem: Problem, method: str = "mk_rk4",
     _require_finite_positive("step size and end time", h, t_end)
     cmap = coordinate_map(map_kind)
     field = problem.field
-    n_steps = max(1, round(t_end / h))
+    n_steps = max(1, _step_count(h, t_end))
     h = t_end / n_steps
 
     names = tuple(problem.invariants)
@@ -666,7 +676,7 @@ def convergence_study(problem: Problem, methods: Sequence[str], map_kind,
     _require_finite_positive("step sizes and end time", t_end, reference_h,
                              *h_list)
     for h in [*h_list, reference_h]:
-        if abs(round(t_end / h) * h - t_end) > 1e-9 * max(1.0, abs(t_end)):
+        if abs(_step_count(h, t_end) * h - t_end) > 1e-9 * max(1.0, t_end):
             raise ValueError(
                 f"step size {h!r} does not divide t_end={t_end!r}; all runs "
                 "must stop at the same final time"

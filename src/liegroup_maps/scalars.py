@@ -2,42 +2,37 @@
 
 Every closed-form map in this package reduces to a handful of even scalar
 functions of the rotation angle phi = |x|.  The primary bundle is
+``alpha`` = sin(phi)/phi and ``beta`` = (sin(phi/2)/(phi/2))**2; the other
+kernels are radial rates and quotients of these, most of them through
+``gamma`` = alpha/beta = (phi/2)*cot(phi/2).  All have removable
+singularities at phi = 0 and lose digits to cancellation in their naive
+closed forms, so each kernel is one row -- a series table, a closed form
+and a window -- and one branch rule, :func:`_kernel`, evaluates every row:
 
-* ``alpha``    = sin(phi)/phi
-* ``beta``     = (sin(phi/2)/(phi/2))**2
-* ``gamma``    = alpha/beta = (phi/2)*cot(phi/2)
-* ``delta``    = (1 - alpha)/phi**2
-* ``inv_beta`` = 1/beta
-
-plus a catalog of derived quotients (radial rates of the above) that appear
-in the differentials and directional derivatives.  All of them have removable
-singularities at phi = 0 and severe subtractive cancellation in their naive
-closed forms at small and moderate angles, so each kernel is evaluated on two
-branches:
-
-* an even 30-term Taylor polynomial in s = phi**2 below a switch point,
-  whose coefficients are derived at import from exact rationals and rounded
-  once to double precision, and
+* an even 30-term Taylor polynomial in s = phi**2 below the window, whose
+  coefficients are derived at import from exact rationals and rounded once
+  to double precision, and
 * a cancellation-free trigonometric expression above it.
 
-Two different switch points are in play.  The four primary ratios (alpha,
-beta, gamma, inv_beta) are benign and switch at the official small-angle
-seam ``SMALL_ANGLE_THRESHOLD``; :func:`force_branch` can pin them to either
+alpha and beta switch at the official small-angle seam
+``SMALL_ANGLE_THRESHOLD``; :func:`force_branch` can pin them to either
 branch so the seam agreement can be certified.  The derived quotients lose
-up to ~phi**-4 digits to cancellation in any trigonometric rearrangement, so
-they keep the series much longer — up to ``SERIES_WINDOW`` — purely as an
-accuracy measure.  That window is not a seam and deliberately ignores
-:func:`force_branch`.
+up to ~phi**-4 digits in any trigonometric rearrangement, so they keep the
+series up to ``SERIES_WINDOW``, purely as an accuracy measure; that window
+is not a seam and ignores :func:`force_branch`.  A non-finite angle (NaN,
+or the overflowed norm of a huge vector) fails every window test and
+raises :class:`~liegroup_maps.core.ChartDomainError` on the closed branch.
 
-``gamma`` and ``inv_beta`` (and everything derived from them) have genuine
-poles at phi = 2*pi: the inverse differential of the rotation exponential
-does not exist there.  :func:`ensure_dexp_inv_domain` raises
-:class:`~liegroup_maps.core.ChartDomainError` at or beyond
-``DEXPINV_DOMAIN_LIMIT``; alpha, beta and delta are defined at any angle.
+The kernels built on ``gamma`` have poles at phi = 2*pi, where the inverse
+differential of the rotation exponential does not exist:
+:func:`ensure_dexp_inv_domain` raises ChartDomainError at or beyond
+``DEXPINV_DOMAIN_LIMIT``.  alpha, beta and their rates are defined at any
+finite angle.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from contextlib import contextmanager
 
@@ -51,8 +46,8 @@ __all__ = [
     "ensure_dexp_inv_domain",
 ]
 
-# Official seam between the series and closed-form branches of the primary
-# ratios alpha, beta, gamma, inv_beta.
+# Official seam between the series and closed-form branches of alpha and
+# beta.
 SMALL_ANGLE_THRESHOLD = 1e-2
 
 # The derived quotient kernels stay on their series this far out: their
@@ -80,6 +75,43 @@ def ensure_dexp_inv_domain(phi: float) -> None:
     """Raise ChartDomainError if phi is outside [0, 2*pi) for inverse maps."""
     if phi >= DEXPINV_DOMAIN_LIMIT:
         raise ChartDomainError(_DOMAIN_MESSAGE.format(phi=float(phi)))
+
+
+# ---------------------------------------------------------------------------
+# Branch selection
+# ---------------------------------------------------------------------------
+
+_FORCED_BRANCH: str | None = None
+
+
+@contextmanager
+def force_branch(branch: str):
+    """Pin the primary ratios alpha and beta to one branch.
+
+    ``branch`` is ``'series'`` or ``'closed'``.  This is a certification aid
+    for exercising both sides of the small-angle seam on the same input; the
+    forced series branch is only accurate for angles well below 1 radian.
+    The derived quotient kernels are unaffected: their wide series window is
+    a cancellation guard, not a seam.
+    """
+    global _FORCED_BRANCH
+    if branch not in ("series", "closed"):
+        raise ValueError(f"branch must be 'series' or 'closed', got {branch!r}")
+    previous = _FORCED_BRANCH
+    _FORCED_BRANCH = branch
+    try:
+        yield
+    finally:
+        _FORCED_BRANCH = previous
+
+
+def _seam_use_series(phi: float) -> bool:
+    if _FORCED_BRANCH == "series":
+        return phi < math.inf
+    if _FORCED_BRANCH == "closed":
+        # The closed forms are 0/0 at exactly zero; the limit is exact there.
+        return phi == 0.0
+    return phi < SMALL_ANGLE_THRESHOLD
 
 
 # ---------------------------------------------------------------------------
@@ -136,67 +168,6 @@ def _series(base, shift: int = 0, scale=lambda k: 1) -> tuple[float, ...]:
                  for k, (num, den) in enumerate(base[shift:shift + _TERMS]))
 
 
-# Two identities give every derived table its integer scale:
-# * a radial rate (1/phi) d/dphi is 2 d/ds, mapping coefficients c[k] of a
-#   series to 2 (k+1) c[k+1];
-# * 1/beta = gamma - 2 s dgamma/ds, so inv_beta has coefficients (1-2k) g[k].
-
-# sin(phi)/phi
-_SINC_SERIES = _series(_SINC)
-
-# (sin(phi/2)/(phi/2))**2
-_SINC_SQ_HALF_SERIES = _series(_BETA)
-
-# (phi/2)*cot(phi/2)   (poles at 2*pi: series radius 2*pi)
-_COT_HALF_SCALED_SERIES = _series(_GAMMA)
-
-# ((phi/2)/sin(phi/2))**2   (poles at 2*pi)
-_INV_SINC_SQ_HALF_SERIES = _series(_GAMMA, 0, lambda k: 1 - 2 * k)
-
-# (1 - alpha)/phi**2: quadratic coefficient of the exponential differential
-_DEXP_QUAD_SERIES = _series(_SINC, 1, lambda k: -1)
-
-# (alpha - beta)/phi**2: radial rate of beta/2, limit -1/12
-_DEXP_LIN_RATE_SERIES = _series(_BETA, 1, lambda k: k + 1)
-
-# (beta/2 - 3*delta)/phi**2: radial rate of delta, limit -1/60
-_DEXP_QUAD_RATE_SERIES = _series(_SINC, 2, lambda k: -2 * (k + 1))
-
-# (1 - gamma)/phi**2: quadratic coefficient of the inverse differential,
-# limit 1/12  (poles at 2*pi)
-_DEXPINV_QUAD_SERIES = _series(_GAMMA, 1, lambda k: -1)
-
-# (inv_beta + gamma - 2)/phi**4: radial rate of the previous kernel,
-# limit 1/360  (poles at 2*pi)
-_DEXPINV_QUAD_RATE_SERIES = _series(_GAMMA, 2, lambda k: -2 * (k + 1))
-
-# (phi**2*cos(phi) - 5*phi*sin(phi) + 16*sin(phi/2)**2)/phi**6: second radial
-# rate of beta/2, limit 1/90
-_DEXP_LIN_RATE2_SERIES = _series(_BETA, 2, lambda k: 2 * (k + 1) * (k + 2))
-
-# (phi**2*sin(phi) + 7*phi*cos(phi) - 15*sin(phi) + 8*phi)/phi**7: second
-# radial rate of delta, limit 1/630
-_DEXP_QUAD_RATE2_SERIES = _series(_SINC, 3, lambda k: -4 * (k + 1) * (k + 2))
-
-# ((gamma*c_quad - 1/4 - 2*c_lin_rate/beta**2)/phi**2 - 4*c_quad_rate)/phi**2
-# with c_quad = (1 - gamma)/phi**2, c_lin_rate = (alpha - beta)/phi**2 and
-# c_quad_rate = (inv_beta + gamma - 2)/phi**4: second radial rate of the
-# inverse-differential quadratic coefficient, limit 1/3780  (poles at 2*pi)
-_DEXPINV_QUAD_RATE2_SERIES = _series(_GAMMA, 3,
-                                     lambda k: -4 * (k + 1) * (k + 2))
-
-# (2 - (1 + 3*alpha)/(2*beta))/phi**2: squared-adjoint coefficient of the
-# inverse screw differential, limit +1/12  (poles at 2*pi)
-_ADFORM_QUAD_SERIES = _series(_GAMMA, 1, lambda k: k - 1)
-
-# (1 - (1 + alpha)/(2*beta))/phi**4: fourth-power-adjoint coefficient of the
-# inverse screw differential, limit -1/720  (poles at 2*pi)
-_ADFORM_QUART_SERIES = _series(_GAMMA, 2, lambda k: k + 1)
-
-# phi/sin(phi)  (poles at pi: series radius pi, keep the window small)
-_INV_SINC_SERIES = _series(_INV_SINC)
-
-
 def _poly_even(coeffs, phi: float) -> float:
     """Evaluate an even polynomial sum_k coeffs[k] * phi**(2k) by Horner."""
     s = phi * phi
@@ -206,160 +177,140 @@ def _poly_even(coeffs, phi: float) -> float:
     return acc
 
 
-# ---------------------------------------------------------------------------
-# Branch selection
-# ---------------------------------------------------------------------------
+def _kernel(series, window=SERIES_WINDOW):
+    """Decorate a closed form into a kernel row; the one branch rule.
 
-_FORCED_BRANCH: str | None = None
-
-
-@contextmanager
-def force_branch(branch: str):
-    """Pin the primary ratios (alpha, beta, gamma, inv_beta) to one branch.
-
-    ``branch`` is ``'series'`` or ``'closed'``.  This is a certification aid
-    for exercising both sides of the small-angle seam on the same input; the
-    forced series branch is only accurate for angles well below 1 radian.
-    The derived quotient kernels are unaffected: their wide series window is
-    a cancellation guard, not a seam.
+    Horner on ``series`` below ``window`` (the force_branch-aware seam if
+    None), the closed form above it, ChartDomainError for a non-finite angle.
     """
-    global _FORCED_BRANCH
-    if branch not in ("series", "closed"):
-        raise ValueError(f"branch must be 'series' or 'closed', got {branch!r}")
-    previous = _FORCED_BRANCH
-    _FORCED_BRANCH = branch
-    try:
-        yield
-    finally:
-        _FORCED_BRANCH = previous
 
+    def row(closed):
+        @functools.wraps(closed)
+        def kernel(phi: float) -> float:
+            if (phi < window) if window is not None else _seam_use_series(phi):
+                return _poly_even(series, phi)
+            if phi < math.inf:
+                return closed(phi)
+            raise ChartDomainError(
+                f"rotation angle must be finite, got {float(phi)!r}")
 
-def _seam_use_series(phi: float) -> bool:
-    if _FORCED_BRANCH == "series":
-        return True
-    if _FORCED_BRANCH == "closed":
-        # The closed forms are 0/0 at exactly zero; the limit is exact there.
-        return phi == 0.0
-    return phi < SMALL_ANGLE_THRESHOLD
+        return kernel
+
+    return row
 
 
 # ---------------------------------------------------------------------------
-# Primary ratio kernels (official seam, force_branch aware)
+# Kernel rows: a series table, a closed form and a window each.  Two
+# identities give every derived table its integer scale:
+# * a radial rate (1/phi) d/dphi is 2 d/ds, mapping coefficients c[k] of a
+#   series to 2 (k+1) c[k+1];
+# * 1/beta = gamma - 2 s dgamma/ds.
 # ---------------------------------------------------------------------------
 
+_SINC_SERIES = _series(_SINC)
+_SINC_SQ_HALF_SERIES = _series(_BETA)
+_DEXP_QUAD_SERIES = _series(_SINC, 1, lambda k: -1)
+_DEXP_LIN_RATE_SERIES = _series(_BETA, 1, lambda k: k + 1)
+_DEXP_QUAD_RATE_SERIES = _series(_SINC, 2, lambda k: -2 * (k + 1))
+_DEXPINV_QUAD_SERIES = _series(_GAMMA, 1, lambda k: -1)
+_DEXPINV_QUAD_RATE_SERIES = _series(_GAMMA, 2, lambda k: -2 * (k + 1))
+_DEXP_LIN_RATE2_SERIES = _series(_BETA, 2, lambda k: 2 * (k + 1) * (k + 2))
+_DEXP_QUAD_RATE2_SERIES = _series(_SINC, 3, lambda k: -4 * (k + 1) * (k + 2))
+_DEXPINV_QUAD_RATE2_SERIES = _series(_GAMMA, 3,
+                                     lambda k: -4 * (k + 1) * (k + 2))
+_ADFORM_QUAD_SERIES = _series(_GAMMA, 1, lambda k: k - 1)
+_ADFORM_QUART_SERIES = _series(_GAMMA, 2, lambda k: k + 1)
+_INV_SINC_SERIES = _series(_INV_SINC)
 
-def _sinc(phi: float) -> float:
-    """sin(phi)/phi."""
-    if _seam_use_series(phi):
-        return _poly_even(_SINC_SERIES, phi)
-    return math.sin(phi) / phi
 
-
-def _sinc_sq_half(phi: float) -> float:
-    """(sin(phi/2)/(phi/2))**2."""
-    if _seam_use_series(phi):
-        return _poly_even(_SINC_SQ_HALF_SERIES, phi)
+def _beta(phi: float) -> float:
     half = 0.5 * phi
     t = math.sin(half) / half
     return t * t
 
 
-def _cot_half_scaled(phi: float) -> float:
-    """(phi/2)*cot(phi/2); poles at multiples of 2*pi."""
-    if _seam_use_series(phi):
-        return _poly_even(_COT_HALF_SCALED_SERIES, phi)
+def _gamma(phi: float) -> float:
     half = 0.5 * phi
     return half * math.cos(half) / math.sin(half)
 
 
-def _inv_sinc_sq_half(phi: float) -> float:
-    """((phi/2)/sin(phi/2))**2; poles at multiples of 2*pi."""
-    if _seam_use_series(phi):
-        return _poly_even(_INV_SINC_SQ_HALF_SERIES, phi)
-    half = 0.5 * phi
-    t = half / math.sin(half)
-    return t * t
+# sin(phi)/phi: alpha
+@_kernel(_SINC_SERIES, window=None)
+def _sinc(phi):
+    return math.sin(phi) / phi
 
 
-# ---------------------------------------------------------------------------
-# Derived quotient kernels (cancellation guarded: series below SERIES_WINDOW)
-# ---------------------------------------------------------------------------
+# (sin(phi/2)/(phi/2))**2: beta
+@_kernel(_SINC_SQ_HALF_SERIES, window=None)
+def _sinc_sq_half(phi):
+    return _beta(phi)
 
 
-def _dexp_quad(phi: float) -> float:
-    """(1 - sinc)/phi**2, limit 1/6; quadratic coefficient of the rotation
-    exponential differential."""
-    if phi < SERIES_WINDOW:
-        return _poly_even(_DEXP_QUAD_SERIES, phi)
+# (1 - alpha)/phi**2: quadratic coefficient of the exponential differential,
+# limit 1/6
+@_kernel(_DEXP_QUAD_SERIES)
+def _dexp_quad(phi):
     return (phi - math.sin(phi)) / phi**3
 
 
-def _dexp_lin_rate(phi: float) -> float:
-    """Radial rate of beta/2, limit -1/12."""
-    if phi < SERIES_WINDOW:
-        return _poly_even(_DEXP_LIN_RATE_SERIES, phi)
+# (alpha - beta)/phi**2: radial rate of beta/2, limit -1/12
+@_kernel(_DEXP_LIN_RATE_SERIES)
+def _dexp_lin_rate(phi):
     s_half = math.sin(0.5 * phi)
     return (phi * math.sin(phi) - 4.0 * s_half * s_half) / phi**4
 
 
-def _dexp_quad_rate(phi: float) -> float:
-    """Radial rate of the quadratic coefficient, limit -1/60."""
-    if phi < SERIES_WINDOW:
-        return _poly_even(_DEXP_QUAD_RATE_SERIES, phi)
+# (beta/2 - 3*delta)/phi**2 with delta = (1 - alpha)/phi**2: radial rate of
+# delta, limit -1/60
+@_kernel(_DEXP_QUAD_RATE_SERIES)
+def _dexp_quad_rate(phi):
     return (3.0 * math.sin(phi) - phi * math.cos(phi) - 2.0 * phi) / phi**5
 
 
-def _dexpinv_quad(phi: float) -> float:
-    """(1 - gamma)/phi**2, limit 1/12; quadratic coefficient of the inverse
-    rotation differential.  Poles at 2*pi."""
-    if phi < SERIES_WINDOW:
-        return _poly_even(_DEXPINV_QUAD_SERIES, phi)
+# (1 - gamma)/phi**2: quadratic coefficient of the inverse differential,
+# limit 1/12  (poles at 2*pi)
+@_kernel(_DEXPINV_QUAD_SERIES)
+def _dexpinv_quad(phi):
+    return (1.0 - _gamma(phi)) / (phi * phi)
+
+
+# (1/beta + gamma - 2)/phi**4: radial rate of the previous kernel,
+# limit 1/360  (poles at 2*pi)
+@_kernel(_DEXPINV_QUAD_RATE_SERIES)
+def _dexpinv_quad_rate(phi):
     half = 0.5 * phi
-    gamma = half * math.cos(half) / math.sin(half)
-    return (1.0 - gamma) / (phi * phi)
+    return ((half / math.sin(half)) ** 2 + _gamma(phi) - 2.0) / phi**4
 
 
-def _dexpinv_quad_rate(phi: float) -> float:
-    """Radial rate of the inverse-differential quadratic coefficient,
-    limit 1/360.  Poles at 2*pi."""
-    if phi < SERIES_WINDOW:
-        return _poly_even(_DEXPINV_QUAD_RATE_SERIES, phi)
-    half = 0.5 * phi
-    s = math.sin(half)
-    gamma = half * math.cos(half) / s
-    inv_beta = (half / s) ** 2
-    return (inv_beta + gamma - 2.0) / phi**4
-
-
-def _dexp_lin_rate2(phi: float) -> float:
-    """Second radial rate of beta/2, limit 1/90."""
-    if phi < SERIES_WINDOW:
-        return _poly_even(_DEXP_LIN_RATE2_SERIES, phi)
+# (phi**2*cos(phi) - 5*phi*sin(phi) + 16*sin(phi/2)**2)/phi**6: second radial
+# rate of beta/2, limit 1/90
+@_kernel(_DEXP_LIN_RATE2_SERIES)
+def _dexp_lin_rate2(phi):
     s_half = math.sin(0.5 * phi)
     num = (phi * phi * math.cos(phi) - 5.0 * phi * math.sin(phi)
            + 16.0 * s_half * s_half)
     return num / phi**6
 
 
-def _dexp_quad_rate2(phi: float) -> float:
-    """Second radial rate of the quadratic coefficient, limit 1/630."""
-    if phi < SERIES_WINDOW:
-        return _poly_even(_DEXP_QUAD_RATE2_SERIES, phi)
+# (phi**2*sin(phi) + 7*phi*cos(phi) - 15*sin(phi) + 8*phi)/phi**7: second
+# radial rate of delta, limit 1/630
+@_kernel(_DEXP_QUAD_RATE2_SERIES)
+def _dexp_quad_rate2(phi):
     num = (phi * phi * math.sin(phi) + 7.0 * phi * math.cos(phi)
            - 15.0 * math.sin(phi) + 8.0 * phi)
     return num / phi**7
 
 
-def _dexpinv_quad_rate2(phi: float) -> float:
-    """Second radial rate of the inverse-differential quadratic coefficient,
-    limit 1/3780.  Poles at 2*pi."""
-    if phi < SERIES_WINDOW:
-        return _poly_even(_DEXPINV_QUAD_RATE2_SERIES, phi)
+# ((gamma*c_quad - 1/4 - 2*c_lin_rate/beta**2)/phi**2 - 4*c_quad_rate)/phi**2
+# with c_quad = (1 - gamma)/phi**2, c_lin_rate = (alpha - beta)/phi**2 and
+# c_quad_rate = (1/beta + gamma - 2)/phi**4: second radial rate of the
+# inverse-differential quadratic coefficient, limit 1/3780  (poles at 2*pi)
+@_kernel(_DEXPINV_QUAD_RATE2_SERIES)
+def _dexpinv_quad_rate2(phi):
     phi_sq = phi * phi
     half = 0.5 * phi
-    s = math.sin(half)
-    gamma = half * math.cos(half) / s
-    beta = (s / half) ** 2
+    gamma = _gamma(phi)
+    beta = (math.sin(half) / half) ** 2
     c_quad = (1.0 - gamma) / phi_sq
     c_lin_rate = _dexp_lin_rate(phi)
     c_quad_rate = (1.0 / beta + gamma - 2.0) / (phi_sq * phi_sq)
@@ -367,32 +318,23 @@ def _dexpinv_quad_rate2(phi: float) -> float:
             / (phi_sq * phi_sq) - 4.0 * c_quad_rate / phi_sq)
 
 
-def _adform_quad(phi: float) -> float:
-    """Squared-adjoint coefficient of the inverse screw differential,
-    limit +1/12.  Poles at 2*pi."""
-    if phi < SERIES_WINDOW:
-        return _poly_even(_ADFORM_QUAD_SERIES, phi)
+# (2 - (1 + 3*alpha)/(2*beta))/phi**2: squared-adjoint coefficient of the
+# inverse screw differential, limit +1/12  (poles at 2*pi)
+@_kernel(_ADFORM_QUAD_SERIES)
+def _adform_quad(phi):
     alpha = math.sin(phi) / phi
-    half = 0.5 * phi
-    t = math.sin(half) / half
-    beta = t * t
-    return (2.0 - (1.0 + 3.0 * alpha) / (2.0 * beta)) / (phi * phi)
+    return (2.0 - (1.0 + 3.0 * alpha) / (2.0 * _beta(phi))) / (phi * phi)
 
 
-def _adform_quart(phi: float) -> float:
-    """Fourth-power-adjoint coefficient of the inverse screw differential,
-    limit -1/720.  Poles at 2*pi."""
-    if phi < SERIES_WINDOW:
-        return _poly_even(_ADFORM_QUART_SERIES, phi)
+# (1 - (1 + alpha)/(2*beta))/phi**4: fourth-power-adjoint coefficient of the
+# inverse screw differential, limit -1/720  (poles at 2*pi)
+@_kernel(_ADFORM_QUART_SERIES)
+def _adform_quart(phi):
     alpha = math.sin(phi) / phi
-    half = 0.5 * phi
-    t = math.sin(half) / half
-    beta = t * t
-    return (1.0 - (1.0 + alpha) / (2.0 * beta)) / phi**4
+    return (1.0 - (1.0 + alpha) / (2.0 * _beta(phi))) / phi**4
 
 
-def _inv_sinc(phi: float) -> float:
-    """phi/sin(phi); poles at multiples of pi."""
-    if phi < _INV_SINC_SERIES_WINDOW:
-        return _poly_even(_INV_SINC_SERIES, phi)
+# phi/sin(phi)  (poles at pi: series radius pi, keep the window small)
+@_kernel(_INV_SINC_SERIES, window=_INV_SINC_SERIES_WINDOW)
+def _inv_sinc(phi):
     return phi / math.sin(phi)

@@ -1,8 +1,7 @@
 """Closed-form coordinate maps on the rigid-motion group.
 
 Screws are 6-vectors with the angular block first: X = (x, y) where x drives
-the rotation and y the translation.  Every function accepts either a plain
-6-vector or a :class:`~liegroup_maps.core.Screw`.
+the rotation and y the translation.
 
 The exponential-chart differentials come in two algebraically identical
 shapes: a 2x2 block form whose off-diagonal block is the directional
@@ -27,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Ad6, Screw, _as_vec, ad6, hat3, make_pose
+from .core import Ad6, _as_vec, ad6, hat3, make_pose
 from .scalars import (
     _adform_quad,
     _adform_quart,
@@ -81,12 +80,6 @@ _EYE3 = np.eye(3)
 _EYE6 = np.eye(6)
 
 
-def _screw6(screw, name: str = "screw") -> np.ndarray:
-    if isinstance(screw, Screw):
-        return screw.as_vector()
-    return _as_vec(screw, 6, name)
-
-
 def _blocks66(tl, bl, br) -> np.ndarray:
     out = np.zeros((6, 6))
     out[:3, :3] = tl
@@ -103,7 +96,7 @@ def _blocks66(tl, bl, br) -> np.ndarray:
 def se3_exp(screw) -> np.ndarray:
     """Pose of a screw: rotation from the angular block, translation through
     the rotation differential applied to the linear block."""
-    s = _screw6(screw)
+    s = _as_vec(screw, 6, "screw")
     x, y = s[:3], s[3:]
     # fused evaluation (shared hat powers) -- this sits on integrator hot paths
     phi = math.sqrt(float(x @ x))
@@ -134,7 +127,7 @@ def se3_dexp(screw) -> np.ndarray:
     Diagonal blocks are the rotation differential; the lower-left block is
     its directional derivative along the translation part of the screw.
     """
-    s = _screw6(screw)
+    s = _as_vec(screw, 6, "screw")
     x, y = s[:3], s[3:]
     d = so3_dexp(x)
     return _blocks66(d, so3_ddexp(x, y), d)
@@ -142,7 +135,7 @@ def se3_dexp(screw) -> np.ndarray:
 
 def se3_dexp_inv(screw) -> np.ndarray:
     """Inverse differential of :func:`se3_exp` (block form); |x| < 2*pi."""
-    s = _screw6(screw)
+    s = _as_vec(screw, 6, "screw")
     x, y = s[:3], s[3:]
     # fused evaluation (shared hat powers) -- this sits on integrator hot paths
     phi = math.sqrt(float(x @ x))
@@ -158,7 +151,7 @@ def se3_dexp_inv(screw) -> np.ndarray:
 
 def se3_dexp_adform(screw) -> np.ndarray:
     """:func:`se3_dexp` as a quartic polynomial in the screw adjoint."""
-    s = _screw6(screw)
+    s = _as_vec(screw, 6, "screw")
     phi = float(np.linalg.norm(s[:3]))
     alpha = _sinc(phi)
     beta = _sinc_sq_half(phi)
@@ -175,7 +168,7 @@ def se3_dexp_adform(screw) -> np.ndarray:
 def se3_dexp_inv_adform(screw) -> np.ndarray:
     """:func:`se3_dexp_inv` as a quartic polynomial in the screw adjoint
     (the cubic term vanishes identically); |x| < 2*pi."""
-    s = _screw6(screw)
+    s = _as_vec(screw, 6, "screw")
     phi = float(np.linalg.norm(s[:3]))
     ensure_dexp_inv_domain(phi)
     ad = ad6(s)
@@ -187,8 +180,8 @@ def se3_dexp_inv_adform(screw) -> np.ndarray:
 def se3_ddexp(screw, dscrew) -> np.ndarray:
     """Directional derivative of :func:`se3_dexp` at ``screw`` along
     ``dscrew``; smooth through X = 0."""
-    s = _screw6(screw)
-    ds = _screw6(dscrew, "dscrew")
+    s = _as_vec(screw, 6, "screw")
+    ds = _as_vec(dscrew, 6, "dscrew")
     x, y = s[:3], s[3:]
     u, v = ds[:3], ds[3:]
     phi = float(np.linalg.norm(x))
@@ -215,8 +208,8 @@ def se3_ddexp(screw, dscrew) -> np.ndarray:
 
 def se3_ddexp_inv(screw, dscrew) -> np.ndarray:
     """Directional derivative of :func:`se3_dexp_inv`; |x| < 2*pi."""
-    s = _screw6(screw)
-    ds = _screw6(dscrew, "dscrew")
+    s = _as_vec(screw, 6, "screw")
+    ds = _as_vec(dscrew, 6, "dscrew")
     x, y = s[:3], s[3:]
     u, v = ds[:3], ds[3:]
     phi = math.sqrt(float(x @ x))
@@ -252,8 +245,8 @@ def se3_ddexp_inv_tangent(screw, twist) -> np.ndarray:
     One-pass assembly of the curvature block an implicit integrator needs
     when differentiating ``se3_dexp_inv(X) @ V`` in X; |x| < 2*pi.
     """
-    s = _screw6(screw)
-    v6 = _screw6(twist, "twist")
+    s = _as_vec(screw, 6, "screw")
+    v6 = _as_vec(twist, 6, "twist")
     x, y = s[:3], s[3:]
     wa, wl = v6[:3], v6[3:]
     phi = math.sqrt(float(x @ x))
@@ -277,8 +270,8 @@ def se3_ddexp_inv_tangent(screw, twist) -> np.ndarray:
 
 def se3_ddcay_inv_tangent(screw, twist) -> np.ndarray:
     """Matrix whose j-th column is ``se3_ddcay_inv(screw, basis_j) @ twist``."""
-    s = _screw6(screw)
-    v6 = _screw6(twist, "twist")
+    s = _as_vec(screw, 6, "screw")
+    v6 = _as_vec(twist, 6, "twist")
     x, y = s[:3], s[3:]
     wa, wl = v6[:3], v6[3:]
     hx, hy = hat3(x), hat3(y)
@@ -301,7 +294,7 @@ def se3_cay(screw) -> np.ndarray:
     Rotation block from the Gibbs vector x; translation (I + R) @ y.
     Identical to the 4x4 resolvent (I - hat(X))^{-1} (I + hat(X)).
     """
-    s = _screw6(screw)
+    s = _as_vec(screw, 6, "screw")
     x, y = s[:3], s[3:]
     rot = so3_cay(x)
     return make_pose(rot, (_EYE3 + rot) @ y)
@@ -324,7 +317,7 @@ def se3_dcay(screw) -> np.ndarray:
     The rotation diagonal is s*(I + hat(x)); the translation diagonal is
     I + R; the value at X = 0 is 2*I.
     """
-    s = _screw6(screw)
+    s = _as_vec(screw, 6, "screw")
     x, y = s[:3], s[3:]
     sig = sigma(x)
     hx, hy = hat3(x), hat3(y)
@@ -335,7 +328,7 @@ def se3_dcay(screw) -> np.ndarray:
 def se3_dcay_inv(screw) -> np.ndarray:
     """Inverse of :func:`se3_dcay`; value I/2 at X = 0.  Defined for every
     screw (the Cayley differential never degenerates)."""
-    s = _screw6(screw)
+    s = _as_vec(screw, 6, "screw")
     x, y = s[:3], s[3:]
     sig = sigma(x)
     hx, hy = hat3(x), hat3(y)
@@ -347,8 +340,8 @@ def se3_dcay_inv(screw) -> np.ndarray:
 
 def se3_ddcay(screw, dscrew) -> np.ndarray:
     """Directional derivative of :func:`se3_dcay` along ``dscrew``."""
-    s = _screw6(screw)
-    ds = _screw6(dscrew, "dscrew")
+    s = _as_vec(screw, 6, "screw")
+    ds = _as_vec(dscrew, 6, "dscrew")
     x, y = s[:3], s[3:]
     u, v = ds[:3], ds[3:]
     sig = sigma(x)
@@ -365,8 +358,8 @@ def se3_ddcay(screw, dscrew) -> np.ndarray:
 
 def se3_ddcay_inv(screw, dscrew) -> np.ndarray:
     """Directional derivative of :func:`se3_dcay_inv` along ``dscrew``."""
-    s = _screw6(screw)
-    ds = _screw6(dscrew, "dscrew")
+    s = _as_vec(screw, 6, "screw")
+    ds = _as_vec(dscrew, 6, "dscrew")
     x, y = s[:3], s[3:]
     u, v = ds[:3], ds[3:]
     x_u = float(x @ u)
@@ -390,7 +383,7 @@ def adjoint_cay(screw) -> np.ndarray:
     2*hat(y).  Note this is NOT the frame transport of :func:`se3_cay`:
     see :func:`adjoint_vs_se3_cay_mismatch`.
     """
-    s = _screw6(screw)
+    s = _as_vec(screw, 6, "screw")
     x, y = s[:3], s[3:]
     rot = so3_cay(x)
     one_plus = _EYE3 + rot
@@ -408,7 +401,7 @@ def adjoint_cay_A_forms(screw) -> dict[str, np.ndarray]:
     4. hat of the transported translation velocity times R,
     5. split form hat(y) dcay(x) + s hat(x) hat(y) R.
     """
-    s = _screw6(screw)
+    s = _as_vec(screw, 6, "screw")
     x, y = s[:3], s[3:]
     rot = so3_cay(x)
     hx, hy = hat3(x), hat3(y)
@@ -448,7 +441,7 @@ class CayleyTranslationMismatch:
 
 def adjoint_vs_se3_cay_mismatch(screw) -> CayleyTranslationMismatch:
     """Evaluate both Cayley translation routes and their closed-form gap."""
-    s = _screw6(screw)
+    s = _as_vec(screw, 6, "screw")
     x, y = s[:3], s[3:]
     adjoint_route = so3_dcay(x) @ y
     group_route = (_EYE3 + so3_cay(x)) @ y
@@ -463,7 +456,7 @@ def _screw_lemma_routes(screw) -> dict[str, np.ndarray]:
     differential and its inverse at +/-X (all polynomials in the screw
     adjoint, hence commuting); every entry must match ``Ad_of_exp``.
     """
-    s = _screw6(screw)
+    s = _as_vec(screw, 6, "screw")
     d = se3_dexp(s)
     d_inv_neg = se3_dexp_inv(-s)
     ad = ad6(s)

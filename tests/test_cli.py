@@ -82,6 +82,15 @@ def test_eval_domain_violation_exits_2(capsys):
     assert "domain" in err
 
 
+@pytest.mark.parametrize("x", ["nan,0,0", "1e200,0,0"])
+def test_eval_non_finite_angle_exits_2(capsys, x):
+    with np.errstate(over="ignore"):
+        code, out, err = _run(capsys, ["eval", "exp_so3", "--x", x])
+    assert code == 2
+    assert out == ""
+    assert err.startswith("domain error:") and "must be finite" in err
+
+
 def test_eval_wrong_arity_exits_2(capsys):
     code, _, err = _run(capsys, ["eval", "exp_so3", "--x", "1,2"])
     assert code == 2
@@ -270,6 +279,13 @@ def test_non_finite_end_time_exits_2(capsys, argv):
     code, _, err = _run(capsys, argv)
     assert code == 2
     assert "finite and positive" in err
+
+
+def test_overflowing_step_count_exits_2(capsys):
+    code, _, err = _run(capsys, ["integrate", "--problem", "heavy_top",
+                                 "--h", "1e-300", "--t-end", "1e300"])
+    assert code == 2
+    assert err.startswith("error:") and "overflows" in err
 
 
 def test_integrate_json_mirror(capsys):

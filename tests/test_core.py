@@ -1,4 +1,3 @@
-import math
 
 import numpy as np
 import pytest
@@ -6,7 +5,6 @@ from numpy.testing import assert_allclose
 
 from liegroup_maps.core import (
     Ad6,
-    Screw,
     ad6,
     hat3,
     hat6,
@@ -114,22 +112,6 @@ def test_is_rotation():
     reflection = np.diag([1.0, 1.0, -1.0])
     assert not is_rotation(reflection)
     assert not is_rotation(1.1 * np.eye(3))
-
-
-def test_screw_vector_roundtrip():
-    s = Screw.from_vector([1, 2, 3, 4, 5, 6])
-    assert_allclose(s.ang, [1, 2, 3])
-    assert_allclose(s.lin, [4, 5, 6])
-    assert_allclose(s.as_vector(), [1, 2, 3, 4, 5, 6])
-
-
-def test_screw_pitch():
-    s = Screw(np.array([0.0, 0.0, 2.0]), np.array([0.0, 0.0, 3.0]))
-    assert_allclose(s.pitch, 1.5)
-    pure_translation = Screw(np.zeros(3), np.array([1.0, 0.0, 0.0]))
-    assert pure_translation.pitch == math.inf
-    pure_rotation = Screw(np.array([1.0, 0.0, 0.0]), np.zeros(3))
-    assert pure_rotation.pitch == 0.0
 
 
 def test_shape_validation():

@@ -362,6 +362,16 @@ def test_chart_violation_yields_partial_trajectory():
     assert np.max(partial.orth_drift) < 1e-14
 
 
+def test_non_finite_momentum_yields_partial_trajectory():
+    # the NaN twist reaches the first chart map as a NaN rotation angle
+    problem = make_heavy_top_problem(momentum0=(math.nan, 0.0, 0.0))
+    with pytest.raises(IntegrationError, match="step 1 .*must be finite") \
+            as info:
+        integrate(problem, "mk_rk4", "exponential", 1e-3, 1.0)
+    assert isinstance(info.value.__cause__, ChartDomainError)
+    assert info.value.partial.times.shape == (1,)
+
+
 def test_newton_breakdown_yields_partial_trajectory():
     problem = make_constant_twist_problem(TWIST)
     with pytest.raises(IntegrationError) as info:
@@ -452,6 +462,15 @@ def test_convergence_study_rejects_non_finite_input(bad):
     with pytest.raises(ValueError, match=match):
         convergence_study(problem, ["mk_rk4"], "exponential", steps, 1.0,
                           reference_h=bad)
+
+
+def test_overflowing_step_count_rejected():
+    problem = make_heavy_top_problem()
+    with pytest.raises(ValueError, match="overflows"):
+        integrate(problem, "mk_rk4", "exponential", 1e-300, 1e300)
+    with pytest.raises(ValueError, match="overflows"):
+        convergence_study(problem, ["mk_rk4"], "exponential",
+                          [4e-300, 2e-300, 1e-300], 1e300)
 
 
 def test_convergence_study_rejects_non_dividing_steps():

@@ -1,3 +1,5 @@
+import contextlib
+import hashlib
 import math
 import os
 import subprocess
@@ -18,7 +20,6 @@ from liegroup_maps.scalars import (
     SMALL_ANGLE_THRESHOLD,
     _adform_quad,
     _adform_quart,
-    _cot_half_scaled,
     _dexp_lin_rate,
     _dexp_lin_rate2,
     _dexp_quad,
@@ -28,7 +29,6 @@ from liegroup_maps.scalars import (
     _dexpinv_quad_rate,
     _dexpinv_quad_rate2,
     _inv_sinc,
-    _inv_sinc_sq_half,
     _sinc,
     _sinc_sq_half,
     ensure_dexp_inv_domain,
@@ -114,8 +114,6 @@ def _ref_inv_sinc(x):
 KERNELS = [
     (_sinc, _ref_alpha, TWO_PI - 1e-6),
     (_sinc_sq_half, _ref_beta, TWO_PI - 1e-6),
-    (_cot_half_scaled, _ref_gamma, TWO_PI - 1e-6),
-    (_inv_sinc_sq_half, _ref_inv_beta, TWO_PI - 1e-6),
     (_dexp_quad, _ref_delta, TWO_PI - 1e-6),
     (_dexp_lin_rate, _ref_dexp_lin_rate, TWO_PI - 1e-6),
     (_dexp_quad_rate, _ref_dexp_quad_rate, TWO_PI - 1e-6),
@@ -162,8 +160,6 @@ def test_kernels_match_extended_precision_sweep():
 def test_kernel_values_at_zero_are_exact_limits():
     assert _sinc(0.0) == 1.0
     assert _sinc_sq_half(0.0) == 1.0
-    assert _cot_half_scaled(0.0) == 1.0
-    assert _inv_sinc_sq_half(0.0) == 1.0
     assert _dexp_quad(0.0) == 1.0 / 6.0
     assert _dexp_lin_rate(0.0) == -1.0 / 12.0
     assert _dexp_quad_rate(0.0) == pytest.approx(-1.0 / 60.0, rel=1e-16)
@@ -181,22 +177,15 @@ def test_bundle_values_at_pi():
     phi = math.pi
     assert abs(_sinc(phi)) < 1e-15
     assert_allclose(_sinc_sq_half(phi), 4.0 / math.pi**2, rtol=1e-15)
-    assert abs(_cot_half_scaled(phi)) < 1e-15
     assert_allclose(_dexp_quad(phi), 1.0 / math.pi**2, rtol=1e-14)
-    assert_allclose(_inv_sinc_sq_half(phi), math.pi**2 / 4.0, rtol=1e-15)
 
 
 def test_bundle_internal_identities():
-    # gamma * beta == alpha and delta * phi**2 == 1 - alpha on both branches;
-    # stay strictly inside the pole-free domain so gamma is defined
+    # delta * phi**2 == 1 - alpha on both branches
     for phi in sweep_angles(TWO_PI - 1e-5):
         phi = float(phi)
-        alpha, beta = _sinc(phi), _sinc_sq_half(phi)
-        assert_allclose(_cot_half_scaled(phi) * beta, alpha, rtol=1e-13,
-                        atol=1e-15)
-        assert_allclose(_dexp_quad(phi) * phi * phi, 1.0 - alpha, rtol=0,
+        assert_allclose(_dexp_quad(phi) * phi * phi, 1.0 - _sinc(phi), rtol=0,
                         atol=1e-13)
-        assert_allclose(_inv_sinc_sq_half(phi) * beta, 1.0, rtol=1e-14)
 
 
 def test_gamma_domain_error():
@@ -226,14 +215,13 @@ def test_ensure_domain_boundary():
 def test_natural_seam_is_continuous():
     lo = SMALL_ANGLE_THRESHOLD * (1.0 - 1e-9)
     hi = SMALL_ANGLE_THRESHOLD * (1.0 + 1e-9)
-    for kernel in (_sinc, _sinc_sq_half, _cot_half_scaled, _dexp_quad,
-                   _inv_sinc_sq_half):
+    for kernel in (_sinc, _sinc_sq_half, _dexp_quad):
         assert_allclose(kernel(lo), kernel(hi), rtol=1e-12)
 
 
 def test_forced_branches_agree_at_seam():
     for phi in (SMALL_ANGLE_THRESHOLD - 1e-9, SMALL_ANGLE_THRESHOLD + 1e-9):
-        for kernel in (_sinc, _sinc_sq_half, _cot_half_scaled, _inv_sinc_sq_half):
+        for kernel in (_sinc, _sinc_sq_half):
             with force_branch("series"):
                 a = kernel(phi)
             with force_branch("closed"):
@@ -256,7 +244,57 @@ def test_force_branch_takes_effect():
 def test_force_branch_closed_at_zero_returns_limit():
     with force_branch("closed"):
         assert _sinc(0.0) == 1.0
-        assert _cot_half_scaled(0.0) == 1.0
+        assert _sinc_sq_half(0.0) == 1.0
+
+
+# The 13 kernels that so3 and se3 import, and the digest of their bits on
+# _pin_grid in the natural, forced-series and forced-closed branch modes.
+_PINNED_KERNELS = (
+    "_sinc", "_sinc_sq_half", "_dexp_quad", "_dexp_lin_rate",
+    "_dexp_quad_rate", "_dexpinv_quad", "_dexpinv_quad_rate",
+    "_dexp_lin_rate2", "_dexp_quad_rate2", "_dexpinv_quad_rate2",
+    "_adform_quad", "_adform_quart", "_inv_sinc",
+)
+_PINNED_DIGEST = (
+    "91c86823402069d58b3c4941a0fd86735e5ee982a15073f4b5d60a93566c69f0")
+
+
+def _pin_grid(upper):
+    edges = (SMALL_ANGLE_THRESHOLD, 0.5, SERIES_WINDOW)
+    fixed = [0.0, 1e-8] + [e + d for e in edges for d in (-1e-12, 1e-12)]
+    # dense enough that a closed form rounded differently (t ** 2 for t * t)
+    # moves at least one value by an ulp
+    return fixed + [float(p) for p in np.linspace(0.0, upper, 10001)[1:]]
+
+
+def _kernel_digest():
+    digest = hashlib.sha256()
+    for mode in (None, "series", "closed"):
+        with force_branch(mode) if mode else contextlib.nullcontext():
+            for name in _PINNED_KERNELS:
+                upper = (math.pi - 1e-3 if name == "_inv_sinc"
+                         else TWO_PI - 1e-6)
+                kernel = getattr(scalars, name)
+                for phi in _pin_grid(upper):
+                    digest.update(float.hex(kernel(phi)).encode() + b"\n")
+    return digest.hexdigest()
+
+
+def test_kernel_values_are_pinned():
+    # Every kernel returns the same double on both sides of every branch
+    # edge and over the whole chart, however the branch rule is written.
+    assert _kernel_digest() == _PINNED_DIGEST
+
+
+@pytest.mark.parametrize("mode", [None, "series", "closed"])
+@pytest.mark.parametrize("phi", [math.nan, math.inf])
+def test_non_finite_angle_raises_domain_error(phi, mode):
+    # NaN and inf fail every window test; in every branch mode the rule
+    # rejects them instead of returning NaN or a bare math domain error
+    with force_branch(mode) if mode else contextlib.nullcontext():
+        for name in _PINNED_KERNELS:
+            with pytest.raises(ChartDomainError, match="must be finite"):
+                getattr(scalars, name)(phi)
 
 
 def test_force_branch_validation_and_restore():
@@ -355,8 +393,6 @@ def test_series_tables_are_correctly_rounded_exact_rationals():
     exact = {
         "_SINC_SERIES": alpha,
         "_SINC_SQ_HALF_SERIES": beta,
-        "_COT_HALF_SCALED_SERIES": gamma,
-        "_INV_SINC_SQ_HALF_SERIES": inv_beta,
         "_DEXP_QUAD_SERIES": delta,
         "_DEXP_LIN_RATE_SERIES": lin_rate,
         "_DEXP_QUAD_RATE_SERIES": (beta / 2 - 3 * delta).over_s(1),

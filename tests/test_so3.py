@@ -136,6 +136,16 @@ def test_dexp_inv_domain_error():
         so3_ddexp_inv([0.0, 0.0, TWO_PI + 0.5], np.ones(3))
 
 
+@pytest.mark.parametrize("rotvec", [[math.nan, 0.0, 0.0], [1e200, 0.0, 0.0]])
+def test_non_finite_angle_raises_domain_error(rotvec):
+    # NaN reaches the angle as NaN, and the norm of 1e200 overflows to inf
+    # (which so3_dexp_inv already rejects as outside its domain)
+    with np.errstate(over="ignore"):
+        for op in (so3_exp, so3_dexp, so3_dexp_inv):
+            with pytest.raises(ChartDomainError):
+                op(rotvec)
+
+
 def test_dexp_transpose_parity():
     # the differential at -x is the transpose of the differential at x
     for _ in range(50):
