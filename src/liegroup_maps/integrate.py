@@ -37,17 +37,15 @@ from .se3 import (
 )
 
 _FRAMES = ("body", "spatial")
-_E3 = np.array([0.0, 0.0, 1.0])
+_EYE3 = np.eye(3)
 _FD_STEP = 1e-7     # forward-difference step of the field Jacobian fallback
 
 
 def _cross3(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     # np.cross carries heavy broadcasting overhead for single 3-vectors
-    return np.array([
-        a[1] * b[2] - a[2] * b[1],
-        a[2] * b[0] - a[0] * b[2],
-        a[0] * b[1] - a[1] * b[0],
-    ])
+    a0, a1, a2 = a.tolist()
+    b0, b1, b2 = b.tolist()
+    return np.array((a1 * b2 - a2 * b1, a2 * b0 - a0 * b2, a0 * b1 - a1 * b0))
 
 DEFAULT_CONSTANT_TWIST = np.array([0.3, -0.2, 0.4, 1.0, 0.5, -0.3])
 
@@ -214,7 +212,7 @@ def _compose(frame: str, pose: np.ndarray, local: np.ndarray) -> np.ndarray:
 
 def _chart_pose(cmap: CoordinateMap, frame: str, pose: np.ndarray,
                 coords: np.ndarray) -> np.ndarray:
-    if not coords.any():
+    if not any(coords.tolist()):    # cheaper than ndarray.any() at size 6
         return pose
     return _compose(frame, pose, cmap.value(coords))
 
@@ -224,7 +222,7 @@ def _chart_dmap_inv(cmap: CoordinateMap, frame: str,
     """The operator taking a twist to the coordinate rate at ``coords``:
     ``dmap_inv(-coords)`` for a body field, ``dmap_inv(coords)`` for a
     spatial one."""
-    if not coords.any():
+    if not any(coords.tolist()):
         return cmap.dmap_inv_zero
     sign = -1.0 if frame == "body" else 1.0
     return cmap.dmap_inv(sign * coords)
@@ -425,7 +423,7 @@ _METHODS = ("mk_rk4", "implicit_midpoint", "piecewise")
 
 def _orth_drift(pose: np.ndarray) -> float:
     rot = pose[:3, :3]
-    return float(np.max(np.abs(rot.T @ rot - np.eye(3))))
+    return float(np.max(np.abs(rot.T @ rot - _EYE3)))
 
 
 def integrate(problem: Problem, method: str = "mk_rk4",
@@ -543,10 +541,10 @@ def make_heavy_top_problem(inertia=(2.0, 2.0, 1.0), mgl: float = 1.0,
     pose0 = np.eye(4) if initial_pose is None else np.asarray(initial_pose,
                                                               dtype=float)
 
+    # R^T e3, the spatial vertical in the body frame, is the third row of R
     def rate(t, pose, momentum):
         omega = momentum / inertia
-        vertical = pose[:3, :3].T @ _E3
-        torque = _cross3(momentum, omega) + mgl * _cross3(vertical, chi)
+        torque = _cross3(momentum, omega) + mgl * _cross3(pose[2, :3], chi)
         twist = np.zeros(6)
         twist[:3] = omega
         return twist, torque
@@ -555,7 +553,7 @@ def make_heavy_top_problem(inertia=(2.0, 2.0, 1.0), mgl: float = 1.0,
         # rows (twist, torque), columns (body rotation, body translation,
         # momentum); the vertical moves as d(R^T e3) = hat(R^T e3) @ d_rot
         omega = momentum / inertia
-        vertical = pose[:3, :3].T @ _E3
+        vertical = pose[2, :3]
         out = np.zeros((9, 9))
         out[:3, 6:] = np.diag(1.0 / inertia)
         out[6:, :3] = gravity_arm @ hat3(vertical)
@@ -563,12 +561,11 @@ def make_heavy_top_problem(inertia=(2.0, 2.0, 1.0), mgl: float = 1.0,
         return out
 
     def energy(pose, momentum):
-        vertical = pose[:3, :3].T @ _E3
         return float(0.5 * momentum @ (momentum / inertia)
-                     + mgl * (vertical @ chi))
+                     + mgl * (pose[2, :3] @ chi))
 
     def vertical_momentum(pose, momentum):
-        return float(momentum @ (pose[:3, :3].T @ _E3))
+        return float(momentum @ pose[2, :3])
 
     field = TwistField("body", rate, aux0=momentum0, jacobian=jacobian)
     invariants = {"energy": energy, "vertical_momentum": vertical_momentum}

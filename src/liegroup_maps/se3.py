@@ -80,6 +80,27 @@ _EYE3 = np.eye(3)
 _EYE6 = np.eye(6)
 
 
+def _dot(a, b) -> float:
+    return a[0] * b[0] + a[1] * b[1] + a[2] * b[2]
+
+
+def _cross(a, b) -> list:
+    return [a[1] * b[2] - a[2] * b[1], a[2] * b[0] - a[0] * b[2],
+            a[0] * b[1] - a[1] * b[0]]
+
+
+def _mat3(skew, diag: float, *dyads) -> list:
+    """Rows of hat(skew) + diag * I + the outer products b c^T of the
+    (b, c) ``dyads``, on float sequences."""
+    a, b, c = skew
+    rows = [[diag, -c, b], [c, diag, -a], [-b, a, diag]]
+    for left, right in dyads:
+        for row, li in zip(rows, left):
+            for j, rj in enumerate(right):
+                row[j] += li * rj
+    return rows
+
+
 def _blocks66(tl, bl, br) -> np.ndarray:
     out = np.zeros((6, 6))
     out[:3, :3] = tl
@@ -96,19 +117,27 @@ def _blocks66(tl, bl, br) -> np.ndarray:
 def se3_exp(screw) -> np.ndarray:
     """Pose of a screw: rotation from the angular block, translation through
     the rotation differential applied to the linear block."""
-    s = _as_vec(screw, 6, "screw")
-    x, y = s[:3], s[3:]
-    # fused evaluation (shared hat powers) -- this sits on integrator hot paths
-    phi = math.sqrt(float(x @ x))
-    hx = hat3(x)
-    hx2 = hx @ hx
+    a, b, c, u, v, w = _as_vec(screw, 6, "screw").tolist()
+    # component form on floats, hat(x)^2 = x x^T - phi^2 I: this sits on
+    # integrator hot paths, where NumPy's per-call overhead dominated
+    aa, bb, cc = a * a, b * b, c * c
+    ab, ac, bc = a * b, a * c, b * c
+    phi = math.sqrt(aa + bb + cc)
+    alpha = _sinc(phi)
     half_beta = 0.5 * _sinc_sq_half(phi)
-    rot = _EYE3 + _sinc(phi) * hx + half_beta * hx2
-    trans = y + half_beta * (hx @ y) + _dexp_quad(phi) * (hx2 @ y)
-    out = np.eye(4)
-    out[:3, :3] = rot
-    out[:3, 3] = trans
-    return out
+    delta = _dexp_quad(phi)
+    # x × y and x × (x × y)
+    p0, p1, p2 = b * w - c * v, c * u - a * w, a * v - b * u
+    q0, q1, q2 = b * p2 - c * p1, c * p0 - a * p2, a * p1 - b * p0
+    return np.array((
+        (1.0 - half_beta * (bb + cc), half_beta * ab - alpha * c,
+         half_beta * ac + alpha * b, u + half_beta * p0 + delta * q0),
+        (half_beta * ab + alpha * c, 1.0 - half_beta * (aa + cc),
+         half_beta * bc - alpha * a, v + half_beta * p1 + delta * q1),
+        (half_beta * ac - alpha * b, half_beta * bc + alpha * a,
+         1.0 - half_beta * (aa + bb), w + half_beta * p2 + delta * q2),
+        (0.0, 0.0, 0.0, 1.0),
+    ))
 
 
 def se3_log(pose) -> np.ndarray:
@@ -135,18 +164,33 @@ def se3_dexp(screw) -> np.ndarray:
 
 def se3_dexp_inv(screw) -> np.ndarray:
     """Inverse differential of :func:`se3_exp` (block form); |x| < 2*pi."""
-    s = _as_vec(screw, 6, "screw")
-    x, y = s[:3], s[3:]
-    # fused evaluation (shared hat powers) -- this sits on integrator hot paths
-    phi = math.sqrt(float(x @ x))
+    a, b, c, u, v, w = _as_vec(screw, 6, "screw").tolist()
+    # component form as in se3_exp, with
+    # hat(x) hat(y) + hat(y) hat(x) = x y^T + y x^T - 2 (x.y) I
+    aa, bb, cc = a * a, b * b, c * c
+    ab, ac, bc = a * b, a * c, b * c
+    au, bv, cw = a * u, b * v, c * w
+    phi = math.sqrt(aa + bb + cc)
     ensure_dexp_inv_domain(phi)
-    hx, hy = hat3(x), hat3(y)
-    hx2 = hx @ hx
-    inv_quad = _dexpinv_quad(phi)
-    d_inv = _EYE3 - 0.5 * hx + inv_quad * hx2
-    low = (-0.5 * hy + inv_quad * (hx @ hy + hy @ hx)
-           + _dexpinv_quad_rate(phi) * float(x @ y) * hx2)
-    return _blocks66(d_inv, low, d_inv)
+    quad = _dexpinv_quad(phi)
+    # (x.y) times the radial rate of quad
+    rate = _dexpinv_quad_rate(phi) * (au + bv + cw)
+    d0 = (1.0 - quad * (bb + cc), quad * ab + 0.5 * c, quad * ac - 0.5 * b)
+    d1 = (quad * ab - 0.5 * c, 1.0 - quad * (aa + cc), quad * bc + 0.5 * a)
+    d2 = (quad * ac + 0.5 * b, quad * bc - 0.5 * a, 1.0 - quad * (aa + bb))
+    s01, s02, s12 = a * v + b * u, a * w + c * u, b * w + c * v
+    low0 = (-2.0 * quad * (bv + cw) - rate * (bb + cc),
+            quad * s01 + rate * ab + 0.5 * w,
+            quad * s02 + rate * ac - 0.5 * v)
+    low1 = (quad * s01 + rate * ab - 0.5 * w,
+            -2.0 * quad * (au + cw) - rate * (aa + cc),
+            quad * s12 + rate * bc + 0.5 * u)
+    low2 = (quad * s02 + rate * ac + 0.5 * v,
+            quad * s12 + rate * bc - 0.5 * u,
+            -2.0 * quad * (au + bv) - rate * (aa + bb))
+    zero = (0.0, 0.0, 0.0)
+    return np.array((d0 + zero, d1 + zero, d2 + zero,
+                     low0 + d0, low1 + d1, low2 + d2))
 
 
 def se3_dexp_adform(screw) -> np.ndarray:
@@ -231,40 +275,45 @@ def se3_ddexp_inv(screw, dscrew) -> np.ndarray:
     return _blocks66(diag, low, diag)
 
 
-def _ddexp_inv_stack(phi, hx, hx2, x, w):
-    # columns over the angular basis of [-u~/2 + q(x~u~+u~x~) + q_r(x.u)x~2] w
-    hw = hat3(w)
-    return (0.5 * hw
-            - _dexpinv_quad(phi) * (hx @ hw + hat3(hx @ w))
-            + _dexpinv_quad_rate(phi) * np.outer(hx2 @ w, x))
-
-
 def se3_ddexp_inv_tangent(screw, twist) -> np.ndarray:
     """Matrix whose j-th column is ``se3_ddexp_inv(screw, basis_j) @ twist``.
 
     One-pass assembly of the curvature block an implicit integrator needs
     when differentiating ``se3_dexp_inv(X) @ V`` in X; |x| < 2*pi.
     """
-    s = _as_vec(screw, 6, "screw")
-    v6 = _as_vec(twist, 6, "twist")
-    x, y = s[:3], s[3:]
-    wa, wl = v6[:3], v6[3:]
-    phi = math.sqrt(float(x @ x))
+    s = _as_vec(screw, 6, "screw").tolist()
+    v6 = _as_vec(twist, 6, "twist").tolist()
+    x, y, wa, wl = s[:3], s[3:], v6[:3], v6[3:]
+    # component form on floats, from hat(a) hat(b) = b a^T - (a.b) I
+    phi_sq = _dot(x, x)
+    phi = math.sqrt(phi_sq)
     ensure_dexp_inv_domain(phi)
-    hx, hy = hat3(x), hat3(y)
-    hx2 = hx @ hx
-    hwa = hat3(wa)
-    x_y = float(x @ y)
-    inv_quad = _dexpinv_quad(phi)
-    inv_quad_rate = _dexpinv_quad_rate(phi)
-    diag = _ddexp_inv_stack(phi, hx, hx2, x, wa)
-    mixed_coeff = (inv_quad_rate * (hx @ hy + hy @ hx)
-                   + x_y * _dexpinv_quad_rate2(phi) * hx2)
-    low = (-inv_quad * (hat3(hy @ wa) + hy @ hwa)
-           + inv_quad_rate * np.outer(hx2 @ wa, y)
-           - inv_quad_rate * x_y * (hx @ hwa + hat3(hx @ wa))
-           + np.outer(mixed_coeff @ wa, x)
-           + _ddexp_inv_stack(phi, hx, hx2, x, wl))
+    quad = _dexpinv_quad(phi)
+    rate = _dexpinv_quad_rate(phi)
+    rate2 = _dexpinv_quad_rate2(phi)
+    x_y, x_wa, y_wa = _dot(x, y), _dot(x, wa), _dot(y, wa)
+
+    def hx2(w):     # hat(x)^2 w
+        x_w = _dot(x, w)
+        return [x_w * xi - phi_sq * wi for xi, wi in zip(x, w)]
+
+    def pull(w):    # rate * hat(x)^2 w - quad * w
+        return [rate * hi - quad * wi for hi, wi in zip(hx2(w), w)]
+
+    def spin(w):    # w/2 - quad * (x × w)
+        return [0.5 * wi - quad * ci for wi, ci in zip(w, _cross(x, w))]
+
+    # over the angular basis u, the columns of
+    # [-hat(u)/2 + quad (hat(x) hat(u) + hat(u) hat(x)) + rate (x.u) hat(x)^2] w
+    # are hat(spin(w)) + quad (x.w) I + pull(w) x^T; ``low`` adds the terms in y
+    diag = _mat3(spin(wa), quad * x_wa, (pull(wa), x))
+    low_x = [rate * (x_wa * yi + y_wa * xi - 3.0 * x_y * wi)
+             + x_y * rate2 * hi + pi
+             for xi, yi, wi, hi, pi in zip(x, y, wa, hx2(wa), pull(wl))]
+    low_skew = [si - quad * ci - rate * x_y * di for si, ci, di in
+                zip(spin(wl), _cross(y, wa), _cross(x, wa))]
+    low = _mat3(low_skew, quad * (_dot(x, wl) + y_wa) + rate * x_y * x_wa,
+                (pull(wa), y), (low_x, x))
     return _blocks66(diag, low, diag)
 
 
