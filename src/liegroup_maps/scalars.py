@@ -11,8 +11,7 @@ and a window -- and one branch rule, :func:`_kernel`, evaluates every row:
 
 * an even 30-term Taylor polynomial in s = phi**2 below the window, whose
   coefficients are derived at import from exact rationals and rounded once
-  to double precision (at small angles Horner stops after the head of the
-  table whose dropped tail is below 2**-100 of the value), and
+  to double precision, and
 * a cancellation-free trigonometric expression above it.
 
 alpha and beta switch at the official small-angle seam
@@ -33,7 +32,6 @@ finite angle.
 
 from __future__ import annotations
 
-import bisect
 import functools
 import math
 from contextlib import contextmanager
@@ -126,9 +124,6 @@ def _seam_use_series(phi: float) -> bool:
 
 _TERMS = 30
 
-# Angles up to which _horner evaluates a shorter head of a table.
-_CUT_ANGLES = (1e-3, 1e-2, 3e-2, 0.1, 0.3, 1.0)
-
 
 def _tangent_numbers(n: int) -> list[int]:
     """[0, T_1, ..., T_n] with tan(x) = sum_k T_k x**(2k-1)/(2k-1)!.
@@ -173,43 +168,13 @@ def _series(base, shift: int = 0, scale=lambda k: 1) -> tuple[float, ...]:
                  for k, (num, den) in enumerate(base[shift:shift + _TERMS]))
 
 
-def _head_length(coeffs, s_max: float) -> int:
-    """Fewest leading terms of ``coeffs`` whose dropped tail stays below
-    2**-100 of the polynomial's value for every 0 <= s <= s_max.
-
-    A tail that small is under 2**-47 of an ulp of the value: dropping it
-    changes the returned double only for a value that close to a rounding
-    boundary.
-    """
-    sizes = [abs(c) * s_max**k for k, c in enumerate(coeffs)]
-    floor = (sizes[0] - sum(sizes[1:])) * 2.0**-100     # below |value|
-    tail = 0.0
-    for m in range(len(coeffs) - 1, 0, -1):
-        tail += sizes[m]
-        if not tail < floor:
-            return m + 1
-    return 1
-
-
-def _horner(coeffs):
-    """Evaluator of the even polynomial sum_k coeffs[k] * phi**(2k).
-
-    Horner in s = phi**2 runs on the head of the table that _head_length
-    allows below the smallest of _CUT_ANGLES above phi, and on the whole
-    table above them all.
-    """
-    bounds = tuple(phi * phi for phi in _CUT_ANGLES)
-    heads = tuple(tuple(reversed(coeffs[:_head_length(coeffs, s_max)]))
-                  for s_max in bounds) + (tuple(reversed(coeffs)),)
-
-    def poly(phi: float) -> float:
-        s = phi * phi
-        acc = 0.0
-        for c in heads[bisect.bisect_left(bounds, s)]:
-            acc = acc * s + c
-        return acc
-
-    return poly
+def _poly_even(coeffs, phi: float) -> float:
+    """Evaluate an even polynomial sum_k coeffs[k] * phi**(2k) by Horner."""
+    s = phi * phi
+    acc = 0.0
+    for c in reversed(coeffs):
+        acc = acc * s + c
+    return acc
 
 
 def _kernel(series, window=SERIES_WINDOW):
@@ -220,12 +185,10 @@ def _kernel(series, window=SERIES_WINDOW):
     """
 
     def row(closed):
-        poly = _horner(series)
-
         @functools.wraps(closed)
         def kernel(phi: float) -> float:
             if (phi < window) if window is not None else _seam_use_series(phi):
-                return poly(phi)
+                return _poly_even(series, phi)
             if phi < math.inf:
                 return closed(phi)
             raise ChartDomainError(

@@ -418,30 +418,6 @@ def test_series_tables_are_correctly_rounded_exact_rationals():
         assert getattr(scalars, name) == want, name
 
 
-_TABLES = ("_SINC_SERIES", "_SINC_SQ_HALF_SERIES", "_DEXP_QUAD_SERIES",
-           "_DEXP_LIN_RATE_SERIES", "_DEXP_QUAD_RATE_SERIES",
-           "_DEXPINV_QUAD_SERIES", "_DEXPINV_QUAD_RATE_SERIES",
-           "_DEXP_LIN_RATE2_SERIES", "_DEXP_QUAD_RATE2_SERIES",
-           "_DEXPINV_QUAD_RATE2_SERIES", "_ADFORM_QUAD_SERIES",
-           "_ADFORM_QUART_SERIES", "_INV_SINC_SERIES")
-
-
-@pytest.mark.parametrize("name", _TABLES)
-def test_horner_heads_return_whole_table_value(name):
-    # The shortened Horner heads below each cut angle give the double that
-    # Horner over all 30 terms gives, across every cut and between them.
-    table = getattr(scalars, name)
-    poly = scalars._horner(table)
-    rng = np.random.default_rng(11)
-    edges = [a * (1.0 + d) for a in scalars._CUT_ANGLES for d in (-1e-15, 0.0)]
-    for phi in [0.0] + edges + list(10.0 ** rng.uniform(-9.0, 0.3, 3000)):
-        s = phi * phi
-        whole = 0.0
-        for c in reversed(table):
-            whole = whole * s + c
-        assert poly(phi) == whole, (name, phi)
-
-
 def test_import_loads_only_numpy_runtime():
     # numpy is the only runtime dependency, and the tables are built with
     # integer arithmetic so that importing the package stays cheap
