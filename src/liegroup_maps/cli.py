@@ -36,9 +36,11 @@ import json
 import math
 import os
 import sys
+from collections.abc import Iterable
 
 import numpy as np
 
+from . import se3, so3
 from .core import Ad6, ChartDomainError, ad6, hat3, hat6
 from .integrate import (
     IntegrationError,
@@ -59,37 +61,10 @@ from .oracle import (
 )
 from .se3 import (
     _screw_lemma_routes,
-    adjoint_cay,
     adjoint_cay_A_forms,
     adjoint_vs_se3_cay_mismatch,
-    se3_cay,
-    se3_dcay,
-    se3_dcay_inv,
-    se3_ddcay,
-    se3_ddcay_inv,
-    se3_ddexp,
-    se3_ddexp_inv,
-    se3_dexp,
-    se3_dexp_adform,
-    se3_dexp_inv,
-    se3_dexp_inv_adform,
-    se3_exp,
-    se3_log,
 )
-from .so3 import (
-    _rotation_lemma_routes,
-    so3_cay,
-    so3_dcay,
-    so3_dcay_inv,
-    so3_ddcay,
-    so3_ddcay_inv,
-    so3_ddexp,
-    so3_ddexp_inv,
-    so3_dexp,
-    so3_dexp_inv,
-    so3_exp,
-    so3_log,
-)
+from .so3 import _rotation_lemma_routes
 
 EXIT_OK = 0
 EXIT_VERIFY_FAILURE = 1
@@ -139,30 +114,27 @@ def _timestamp_comment() -> str:
     return "# generated: " + stamp.strftime("%Y-%m-%dT%H:%M:%SZ")
 
 
-def _csv_text(comments: list[str], header: list[str],
-              rows: list[list[str]], trailing: list[str] = ()) -> str:
-    lines = list(comments)
-    lines.append(",".join(header))
-    lines.extend(",".join(row) for row in rows)
-    lines.extend(trailing)
-    return "\n".join(lines) + "\n"
-
-
-def _json_text(payload: dict) -> str:
-    return json.dumps(payload, indent=2) + "\n"
+def _emit(args, payload: dict, comments: list[str], header: list[str],
+          rows: Iterable[list[str]], trailing: list[str] = ()) -> None:
+    """Write a command's result as ``--format`` asks, to ``--output`` or
+    stdout: the JSON ``payload``, or the CSV table of ``comments``,
+    ``header``, ``rows`` and ``trailing`` comment lines.  ``rows`` is read
+    only for CSV, so a generator spares JSON output the cell formatting."""
+    if args.format == "json":
+        text = json.dumps(payload, indent=2) + "\n"
+    else:
+        lines = [*comments, ",".join(header), *map(",".join, rows), *trailing]
+        text = "\n".join(lines) + "\n"
+    if args.output is None:
+        sys.stdout.write(text)
+    else:
+        with open(args.output, "w", encoding="utf-8", newline="") as handle:
+            handle.write(text)
 
 
 def _quote(cell: str) -> str:
     """Quote a CSV cell that may contain commas (pure numbers, no escapes)."""
     return f'"{cell}"' if cell else ""
-
-
-def _write_output(text: str, path: str | None) -> None:
-    if path is None:
-        sys.stdout.write(text)
-    else:
-        with open(path, "w", encoding="utf-8", newline="") as handle:
-            handle.write(text)
 
 
 def _cell(value) -> str:
@@ -174,92 +146,71 @@ def _cell(value) -> str:
 # eval
 # ---------------------------------------------------------------------------
 
-_NOTE_ROT_VALUE = "input is a rotation vector; output is a 3x3 rotation matrix"
-_NOTE_ROT_DIFF = ("right-trivialized differential on the rotation group; "
-                  "maps rotation-vector rates to angular velocities")
-_NOTE_SCREW_VALUE = ("screw input is (angular, linear); output is a 4x4 "
-                     "homogeneous pose")
-_NOTE_SCREW_DIFF = ("right-trivialized differential on the rigid-motion "
-                    "group; screw blocks are (angular, linear)")
+# group: (module, input size, value note, differential note)
+_GROUPS = {
+    "so3": (so3, 3,
+            "input is a rotation vector; output is a 3x3 rotation matrix",
+            "right-trivialized differential on the rotation group; maps "
+            "rotation-vector rates to angular velocities"),
+    "se3": (se3, 6,
+            "screw input is (angular, linear); output is a 4x4 homogeneous "
+            "pose",
+            "right-trivialized differential on the rigid-motion group; "
+            "screw blocks are (angular, linear)"),
+}
 _NOTE_CAY = ("unhalved Cayley convention: the differential at zero is 2*I "
              "and its inverse at zero is I/2")
 _NOTE_DIR = "directional derivative along --y"
 _NOTE_AD_CAY = ("6x6 frame transport of the Cayley pose; equals the "
                 "resolvent of the 6x6 screw adjoint")
+# per chart: the map, its differential and inverse differential, and the
+# directional derivatives of both
+_EVAL_OPS = ("exp", "dexp", "dexpinv", "ddexp", "ddexpinv",
+             "cay", "dcay", "dcayinv", "ddcay", "ddcayinv")
 
 
-def _join_notes(*notes: str) -> str:
-    return "; ".join(notes)
+def _eval_entry(op: str, group: str) -> tuple:
+    """(function, input size, takes --y, note) of the map ``<op>_<group>``,
+    which is the library's ``<group>_<op>`` with ``inv`` written ``_inv``."""
+    module, size, value_note, diff_note = _GROUPS[group]
+    directed = op.startswith("dd")
+    notes = [value_note if op in ("exp", "cay") else diff_note]
+    if "cay" in op:
+        notes.append(_NOTE_CAY)
+    if directed:
+        notes.append(_NOTE_DIR)
+    func = getattr(module, f"{group}_{op}".replace("inv", "_inv"))
+    return func, size, directed, "; ".join(notes)
 
 
-_EVAL_TABLE = {
-    "exp_so3": (so3_exp, 3, False, _NOTE_ROT_VALUE),
-    "dexp_so3": (so3_dexp, 3, False, _NOTE_ROT_DIFF),
-    "dexpinv_so3": (so3_dexp_inv, 3, False, _NOTE_ROT_DIFF),
-    "ddexp_so3": (so3_ddexp, 3, True, _join_notes(_NOTE_ROT_DIFF, _NOTE_DIR)),
-    "ddexpinv_so3": (so3_ddexp_inv, 3, True,
-                     _join_notes(_NOTE_ROT_DIFF, _NOTE_DIR)),
-    "cay_so3": (so3_cay, 3, False, _join_notes(_NOTE_ROT_VALUE, _NOTE_CAY)),
-    "dcay_so3": (so3_dcay, 3, False, _join_notes(_NOTE_ROT_DIFF, _NOTE_CAY)),
-    "dcayinv_so3": (so3_dcay_inv, 3, False,
-                    _join_notes(_NOTE_ROT_DIFF, _NOTE_CAY)),
-    "ddcay_so3": (so3_ddcay, 3, True,
-                  _join_notes(_NOTE_ROT_DIFF, _NOTE_CAY, _NOTE_DIR)),
-    "ddcayinv_so3": (so3_ddcay_inv, 3, True,
-                     _join_notes(_NOTE_ROT_DIFF, _NOTE_CAY, _NOTE_DIR)),
-    "exp_se3": (se3_exp, 6, False, _NOTE_SCREW_VALUE),
-    "dexp_se3": (se3_dexp, 6, False, _NOTE_SCREW_DIFF),
-    "dexpinv_se3": (se3_dexp_inv, 6, False, _NOTE_SCREW_DIFF),
-    "ddexp_se3": (se3_ddexp, 6, True, _join_notes(_NOTE_SCREW_DIFF, _NOTE_DIR)),
-    "ddexpinv_se3": (se3_ddexp_inv, 6, True,
-                     _join_notes(_NOTE_SCREW_DIFF, _NOTE_DIR)),
-    "cay_se3": (se3_cay, 6, False, _join_notes(_NOTE_SCREW_VALUE, _NOTE_CAY)),
-    "dcay_se3": (se3_dcay, 6, False, _join_notes(_NOTE_SCREW_DIFF, _NOTE_CAY)),
-    "dcayinv_se3": (se3_dcay_inv, 6, False,
-                    _join_notes(_NOTE_SCREW_DIFF, _NOTE_CAY)),
-    "ddcay_se3": (se3_ddcay, 6, True,
-                  _join_notes(_NOTE_SCREW_DIFF, _NOTE_CAY, _NOTE_DIR)),
-    "ddcayinv_se3": (se3_ddcay_inv, 6, True,
-                     _join_notes(_NOTE_SCREW_DIFF, _NOTE_CAY, _NOTE_DIR)),
-    "ad_cay": (adjoint_cay, 6, False, _NOTE_AD_CAY),
-}
+_EVAL_TABLE = {f"{op}_{group}": _eval_entry(op, group)
+               for group in _GROUPS for op in _EVAL_OPS}
+_EVAL_TABLE["ad_cay"] = (se3.adjoint_cay, 6, False, _NOTE_AD_CAY)
 
 
 def cmd_eval(args) -> int:
     func, dim, needs_direction, note = _EVAL_TABLE[args.map]
-    x = _parse_vector(args.x, "--x", dim)
+    inputs = {"x": _parse_vector(args.x, "--x", dim)}
     if needs_direction:
         if args.y is None:
             raise CliError(f"map {args.map!r} needs a direction: pass --y")
-        y = _parse_vector(args.y, "--y", dim)
-        matrix = func(x, y)
-    else:
-        if args.y is not None:
-            raise CliError(f"map {args.map!r} takes a single input; drop --y")
-        y = None
-        matrix = func(x)
+        inputs["y"] = _parse_vector(args.y, "--y", dim)
+    elif args.y is not None:
+        raise CliError(f"map {args.map!r} takes a single input; drop --y")
 
-    matrix = np.asarray(matrix, dtype=float)
+    matrix = np.asarray(func(*inputs.values()), dtype=float)
     size = matrix.shape[0]
-    if args.format == "json":
-        payload = {
-            "map": args.map,
-            "input": {"x": [float(v) for v in x]},
-            "output": [[float(v) for v in row] for row in matrix],
-            "convention_notes": note,
-        }
-        if y is not None:
-            payload["input"]["y"] = [float(v) for v in y]
-        text = _json_text(payload)
-    else:
-        comments = [f"# liegroup-maps eval {args.map} --x {_fmt_vec(x)}"
-                    + (f" --y {_fmt_vec(y)}" if y is not None else ""),
-                    f"# {note}",
-                    _timestamp_comment()]
-        header = [f"m{i + 1}{j + 1}" for i in range(size) for j in range(size)]
-        rows = [[_fmt(v) for v in matrix.ravel()]]
-        text = _csv_text(comments, header, rows)
-    _write_output(text, args.output)
+    payload = {
+        "map": args.map,
+        "input": {key: [float(v) for v in vec] for key, vec in inputs.items()},
+        "output": [[float(v) for v in row] for row in matrix],
+        "convention_notes": note,
+    }
+    flags = " ".join(f"--{key} {_fmt_vec(vec)}" for key, vec in inputs.items())
+    comments = [f"# liegroup-maps eval {args.map} {flags}", f"# {note}",
+                _timestamp_comment()]
+    header = [f"m{i + 1}{j + 1}" for i in range(size) for j in range(size)]
+    _emit(args, payload, comments, header, [[_fmt(v) for v in matrix.ravel()]])
     return EXIT_OK
 
 
@@ -461,24 +412,22 @@ _CHECKS += [("lemmas", f"lemma_screw_{route}", 1e-10,
 VERIFY_SUITES = ("all", "so3", "se3", "cayley", "derivatives", "lemmas")
 
 
+# The operations the checks call, each a fault-injection target; this is not
+# every export, since a target that no check calls could not fail verify.
+_VERIFY_OPS = (
+    "so3_exp", "so3_log", "so3_dexp", "so3_dexp_inv", "so3_ddexp",
+    "so3_ddexp_inv", "so3_cay",
+    "se3_exp", "se3_log", "se3_dexp", "se3_dexp_inv", "se3_dexp_adform",
+    "se3_dexp_inv_adform", "se3_ddexp", "se3_ddexp_inv", "se3_cay",
+    "se3_dcay", "se3_dcay_inv", "se3_ddcay", "se3_ddcay_inv", "adjoint_cay",
+)
+
+
 def _verify_ops() -> dict:
     """Operations under test, routed through one table so a fault can be
     injected for harness self-tests without touching the library."""
-    ops = {
-        "so3_exp": so3_exp, "so3_log": so3_log,
-        "so3_dexp": so3_dexp, "so3_dexp_inv": so3_dexp_inv,
-        "so3_ddexp": so3_ddexp, "so3_ddexp_inv": so3_ddexp_inv,
-        "so3_cay": so3_cay,
-        "se3_exp": se3_exp, "se3_log": se3_log,
-        "se3_dexp": se3_dexp, "se3_dexp_inv": se3_dexp_inv,
-        "se3_dexp_adform": se3_dexp_adform,
-        "se3_dexp_inv_adform": se3_dexp_inv_adform,
-        "se3_ddexp": se3_ddexp, "se3_ddexp_inv": se3_ddexp_inv,
-        "se3_cay": se3_cay, "se3_dcay": se3_dcay,
-        "se3_dcay_inv": se3_dcay_inv,
-        "se3_ddcay": se3_ddcay, "se3_ddcay_inv": se3_ddcay_inv,
-        "adjoint_cay": adjoint_cay,
-    }
+    ops = {name: getattr(so3 if name.startswith("so3_") else se3, name)
+           for name in _VERIFY_OPS}
     fault = os.environ.get(_FAULT_ENV, "")
     if fault:
         target = fault if fault in ops else "so3_dexp"
@@ -532,36 +481,32 @@ def cmd_verify(args) -> int:
         })
 
     failures = [r for r in results if r["status"] == "fail"]
-    if args.format == "json":
-        checks_payload = []
-        for r in results:
-            entry = dict(r)
-            if not math.isfinite(entry["max_residual"]):
-                entry["max_residual"] = None
-            checks_payload.append(entry)
-        payload = {
-            "command": "verify",
-            "suite": args.suite,
-            "n": args.n,
-            "seed": args.seed,
-            "status": "fail" if failures else "pass",
-            "checks": checks_payload,
-        }
-        text = _json_text(payload)
-    else:
-        comments = [
-            f"# liegroup-maps verify {args.suite} --n {args.n} --seed {args.seed}",
-            _timestamp_comment(),
-        ]
-        header = ["suite", "check", "samples", "max_residual", "tolerance",
-                  "status", "worst_x", "worst_y"]
-        rows = [[r["suite"], r["check"], str(r["samples"]),
-                 format(r["max_residual"], ".3e"),
-                 format(r["tolerance"], ".1e"), r["status"],
-                 _quote(r["worst_x"]), _quote(r["worst_y"])]
-                for r in results]
-        text = _csv_text(comments, header, rows)
-    _write_output(text, args.output)
+    checks_payload = []
+    for r in results:
+        entry = dict(r)
+        if not math.isfinite(entry["max_residual"]):
+            entry["max_residual"] = None
+        checks_payload.append(entry)
+    payload = {
+        "command": "verify",
+        "suite": args.suite,
+        "n": args.n,
+        "seed": args.seed,
+        "status": "fail" if failures else "pass",
+        "checks": checks_payload,
+    }
+    comments = [
+        f"# liegroup-maps verify {args.suite} --n {args.n} --seed {args.seed}",
+        _timestamp_comment(),
+    ]
+    header = ["suite", "check", "samples", "max_residual", "tolerance",
+              "status", "worst_x", "worst_y"]
+    rows = [[r["suite"], r["check"], str(r["samples"]),
+             format(r["max_residual"], ".3e"),
+             format(r["tolerance"], ".1e"), r["status"],
+             _quote(r["worst_x"]), _quote(r["worst_y"])]
+            for r in results]
+    _emit(args, payload, comments, header, rows)
 
     for r in failures:
         if r["crash"] is not None:
@@ -629,31 +574,27 @@ def cmd_integrate(args) -> int:
         error = str(err)
 
     rows = _trajectory_rows(traj)
-    if args.format == "json":
-        payload = {
-            "command": "integrate",
-            "parameters": {"problem": args.problem, "method": args.method,
-                           "map": traj.map_kind, "h": args.h,
-                           "t_end": args.t_end},
-            "columns": TRAJECTORY_COLUMNS,
-            "rows": rows,
-            "error": error,
-        }
-        text = _json_text(payload)
-    else:
-        comments = [
-            f"# liegroup-maps integrate {args.problem} --method {args.method}"
-            f" --map {traj.map_kind} --h {_fmt(args.h)}"
-            f" --t-end {_fmt(args.t_end)}",
-            _timestamp_comment(),
-        ]
-        if method == "piecewise":
-            comments.append("# beam problem: t is arclength, h the segment "
-                            "size; --method does not apply")
-        trailing = [f"# error: {error}"] if error else []
-        csv_rows = [[_cell(v) for v in row] for row in rows]
-        text = _csv_text(comments, TRAJECTORY_COLUMNS, csv_rows, trailing)
-    _write_output(text, args.output)
+    payload = {
+        "command": "integrate",
+        "parameters": {"problem": args.problem, "method": args.method,
+                       "map": traj.map_kind, "h": args.h,
+                       "t_end": args.t_end},
+        "columns": TRAJECTORY_COLUMNS,
+        "rows": rows,
+        "error": error,
+    }
+    comments = [
+        f"# liegroup-maps integrate {args.problem} --method {args.method}"
+        f" --map {traj.map_kind} --h {_fmt(args.h)}"
+        f" --t-end {_fmt(args.t_end)}",
+        _timestamp_comment(),
+    ]
+    if method == "piecewise":
+        comments.append("# beam problem: t is arclength, h the segment "
+                        "size; --method does not apply")
+    _emit(args, payload, comments, TRAJECTORY_COLUMNS,
+          ([_cell(v) for v in row] for row in rows),
+          [f"# error: {error}"] if error else [])
 
     if error:
         print(f"integration failed: {error}", file=sys.stderr)
@@ -680,61 +621,55 @@ def cmd_convergence(args) -> int:
                                args.t_end)[method]
     h_sorted = result.step_sizes
     at_floor = [err < _EXACT_FLOOR for err in result.errors]
-    rows = []
+    rows, csv_rows = [], []
     for k, (h, err) in enumerate(zip(h_sorted, result.errors)):
         if at_floor[k]:
-            order_cell = "exact"
+            order = order_text = "exact"
         elif k == 0:
-            order_cell = None
+            order, order_text = None, ""
         else:
-            order_cell = result.pairwise_orders[k - 1]
-        rows.append([h, err, order_cell])
+            order = result.pairwise_orders[k - 1]
+            order_text = format(order, ".3f")
+        rows.append([h, err, order])
+        csv_rows.append([_fmt(h), format(err, ".6e"), order_text])
 
     slope = None if any(at_floor) else result.slope
-
-    if args.format == "json":
-        payload = {
-            "command": "convergence",
-            "parameters": {"problem": args.problem, "method": args.method,
-                           "map": args.map, "h_list": h_sorted,
-                           "t_end": args.t_end},
-            "columns": ["h", "err_final_pose", "observed_order"],
-            "rows": [[h, err,
-                      cell if isinstance(cell, str) or cell is None
-                      else float(cell)]
-                     for (h, err, cell) in rows],
-            "least_squares_order": slope,
-        }
-        text = _json_text(payload)
-    else:
-        comments = [
-            f"# liegroup-maps convergence {args.problem}"
-            f" --method {args.method} --map {args.map}"
-            f" --h-list {','.join(_fmt(h) for h in h_sorted)}"
-            f" --t-end {_fmt(args.t_end)}",
-            _timestamp_comment(),
-        ]
-        csv_rows = []
-        for h, err, cell in rows:
-            if cell is None:
-                order_text = ""
-            elif isinstance(cell, str):
-                order_text = cell
-            else:
-                order_text = format(cell, ".3f")
-            csv_rows.append([_fmt(h), format(err, ".6e"), order_text])
-        trailing = ["# least-squares order: "
-                    + ("n/a (errors at roundoff floor)" if slope is None
-                       else format(slope, ".3f"))]
-        text = _csv_text(comments, ["h", "err_final_pose", "observed_order"],
-                         csv_rows, trailing)
-    _write_output(text, args.output)
+    columns = ["h", "err_final_pose", "observed_order"]
+    payload = {
+        "command": "convergence",
+        "parameters": {"problem": args.problem, "method": args.method,
+                       "map": args.map, "h_list": h_sorted,
+                       "t_end": args.t_end},
+        "columns": columns,
+        "rows": rows,
+        "least_squares_order": slope,
+    }
+    comments = [
+        f"# liegroup-maps convergence {args.problem}"
+        f" --method {args.method} --map {args.map}"
+        f" --h-list {','.join(_fmt(h) for h in h_sorted)}"
+        f" --t-end {_fmt(args.t_end)}",
+        _timestamp_comment(),
+    ]
+    trailing = ["# least-squares order: "
+                + ("n/a (errors at roundoff floor)" if slope is None
+                   else format(slope, ".3f"))]
+    _emit(args, payload, comments, columns, csv_rows, trailing)
     return EXIT_OK
 
 
 # ---------------------------------------------------------------------------
 # parser / entry point
 # ---------------------------------------------------------------------------
+
+
+def _add_problem_args(parser, default_problem: str) -> None:
+    parser.add_argument("--problem", choices=INTEGRATE_PROBLEMS,
+                        default=default_problem)
+    parser.add_argument("--method", choices=("mk_rk4", "implicit_midpoint"),
+                        default="mk_rk4")
+    parser.add_argument("--map", choices=("exp", "exponential", "cay",
+                                          "cayley"), default="exponential")
 
 
 def _add_output_args(parser) -> None:
@@ -774,12 +709,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_int = sub.add_parser("integrate",
                            help="run a trajectory or beam reconstruction")
-    p_int.add_argument("--problem", choices=INTEGRATE_PROBLEMS,
-                       default="constant_twist")
-    p_int.add_argument("--method", choices=("mk_rk4", "implicit_midpoint"),
-                       default="mk_rk4")
-    p_int.add_argument("--map", choices=("exp", "exponential", "cay",
-                                         "cayley"), default="exponential")
+    _add_problem_args(p_int, "constant_twist")
     p_int.add_argument("--h", type=float, default=1e-3,
                        help="step size (segment size for beams)")
     p_int.add_argument("--t-end", type=float, default=1.0, dest="t_end",
@@ -789,12 +719,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_conv = sub.add_parser("convergence",
                             help="run a step-size refinement study")
-    p_conv.add_argument("--problem", choices=INTEGRATE_PROBLEMS,
-                        default="heavy_top")
-    p_conv.add_argument("--method", choices=("mk_rk4", "implicit_midpoint"),
-                        default="mk_rk4")
-    p_conv.add_argument("--map", choices=("exp", "exponential", "cay",
-                                          "cayley"), default="exponential")
+    _add_problem_args(p_conv, "heavy_top")
     p_conv.add_argument("--h-list", required=True, dest="h_list",
                         help="comma-separated step sizes, at least three")
     p_conv.add_argument("--t-end", type=float, default=1.0, dest="t_end")

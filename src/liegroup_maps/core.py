@@ -57,6 +57,18 @@ def _as_mat(m, n: int, name: str) -> np.ndarray:
     return out
 
 
+def _dot(a, b) -> float:
+    """Dot product of two 3-sequences, on floats."""
+    return a[0] * b[0] + a[1] * b[1] + a[2] * b[2]
+
+
+def _cross(a, b) -> list:
+    """Cross product of two 3-sequences, on floats: np.cross carries heavy
+    broadcasting overhead for single 3-vectors."""
+    return [a[1] * b[2] - a[2] * b[1], a[2] * b[0] - a[0] * b[2],
+            a[0] * b[1] - a[1] * b[0]]
+
+
 def hat3(v) -> np.ndarray:
     """Skew-symmetric 3x3 matrix of a 3-vector: hat3(v) @ w == cross(v, w)."""
     v = _as_vec(v, 3, "v")

@@ -24,7 +24,7 @@ from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
-from .core import ChartDomainError, hat3, pose_inverse
+from .core import ChartDomainError, _cross, hat3, pose_inverse
 from .se3 import (
     se3_cay,
     se3_dcay,
@@ -39,13 +39,6 @@ from .se3 import (
 _FRAMES = ("body", "spatial")
 _EYE3 = np.eye(3)
 _FD_STEP = 1e-7     # forward-difference step of the field Jacobian fallback
-
-
-def _cross3(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    # np.cross carries heavy broadcasting overhead for single 3-vectors
-    a0, a1, a2 = a.tolist()
-    b0, b1, b2 = b.tolist()
-    return np.array((a1 * b2 - a2 * b1, a2 * b0 - a0 * b2, a0 * b1 - a1 * b0))
 
 DEFAULT_CONSTANT_TWIST = np.array([0.3, -0.2, 0.4, 1.0, 0.5, -0.3])
 
@@ -541,10 +534,13 @@ def make_heavy_top_problem(inertia=(2.0, 2.0, 1.0), mgl: float = 1.0,
     pose0 = np.eye(4) if initial_pose is None else np.asarray(initial_pose,
                                                               dtype=float)
 
+    chi_list = chi.tolist()
+
     # R^T e3, the spatial vertical in the body frame, is the third row of R
     def rate(t, pose, momentum):
         omega = momentum / inertia
-        torque = _cross3(momentum, omega) + mgl * _cross3(pose[2, :3], chi)
+        torque = (np.array(_cross(momentum.tolist(), omega.tolist()))
+                  + mgl * np.array(_cross(pose[2, :3].tolist(), chi_list)))
         twist = np.zeros(6)
         twist[:3] = omega
         return twist, torque
@@ -620,8 +616,7 @@ def _beam_problem(strain, name: str) -> Problem:
 
 
 def beam_reconstruct(strain, length: float, segments: int,
-                     map_kind="exponential",
-                     problem_name: str = "beam") -> Trajectory:
+                     map_kind="exponential") -> Trajectory:
     """Reconstruct a beam centreline from a body strain profile: the
     piecewise rule over arclength ``length``.  For constant strain the
     exponential chart is exact with a single segment."""
@@ -629,7 +624,7 @@ def beam_reconstruct(strain, length: float, segments: int,
         raise ValueError("need at least one segment")
     if length <= 0.0:
         raise ValueError("length must be positive")
-    return integrate(_beam_problem(strain, problem_name), "piecewise",
+    return integrate(_beam_problem(strain, "beam"), "piecewise",
                      map_kind, length / segments, length)
 
 

@@ -31,10 +31,13 @@ class SeriesConfig:
     """Truncation control for the matrix series oracles."""
 
     max_terms: int = 40
-    tail_tol: float = 1e-17
 
 
 _DEFAULT_CONFIG = SeriesConfig()
+# A Taylor sum stops once its increment falls below this, relative to the sum.
+_TAIL_TOL = 1e-17
+# Beyond this condition number of I - m the Cayley resolvent is refused.
+_RESOLVENT_COND_LIMIT = 1e12
 
 
 def _inv_tangent_series(n_terms: int) -> tuple:
@@ -76,42 +79,33 @@ def _as_square(m) -> np.ndarray:
     return m
 
 
-def series_exp(m, config: SeriesConfig = _DEFAULT_CONFIG) -> np.ndarray:
-    """Matrix exponential as a plain truncated Taylor sum.
-
-    Terms are added until the Frobenius norm of the increment drops below
-    ``config.tail_tol`` (relative to the accumulated sum); if that does not
-    happen within ``config.max_terms`` terms a ValueError is raised rather
-    than returning a silently truncated result.
-    """
+def _taylor_sum(m, shift: int, config: SeriesConfig, what: str) -> np.ndarray:
+    """sum_k m**k / (k + shift)! for shift 0 or 1, summed until the
+    Frobenius norm of the increment drops below ``_TAIL_TOL`` relative to
+    the sum.  If that takes more than ``config.max_terms`` terms, a
+    ValueError naming ``what`` is raised rather than returning a silently
+    truncated result."""
     m = _as_square(m)
     acc = np.eye(m.shape[0])
     term = np.eye(m.shape[0])
     for k in range(1, config.max_terms + 1):
-        term = term @ m / k
+        term = term @ m / (k + shift)
         acc = acc + term
-        if np.linalg.norm(term) <= config.tail_tol * max(1.0, np.linalg.norm(acc)):
+        if np.linalg.norm(term) <= _TAIL_TOL * max(1.0, np.linalg.norm(acc)):
             return acc
-    raise ValueError(
-        f"matrix exponential series did not converge in {config.max_terms} terms"
-    )
+    raise ValueError(f"{what} series did not converge in {config.max_terms} "
+                     f"terms")
+
+
+def series_exp(m, config: SeriesConfig = _DEFAULT_CONFIG) -> np.ndarray:
+    """Matrix exponential as a plain truncated Taylor sum."""
+    return _taylor_sum(m, 0, config, "matrix exponential")
 
 
 def series_dexp(m, config: SeriesConfig = _DEFAULT_CONFIG) -> np.ndarray:
     """Right-trivialized differential of the exponential as the truncated
     series sum_k m**k / (k+1)!."""
-    m = _as_square(m)
-    acc = np.eye(m.shape[0])
-    term = np.eye(m.shape[0])
-    for k in range(1, config.max_terms + 1):
-        term = term @ m / (k + 1)
-        acc = acc + term
-        if np.linalg.norm(term) <= config.tail_tol * max(1.0, np.linalg.norm(acc)):
-            return acc
-    raise ValueError(
-        f"exponential-differential series did not converge in "
-        f"{config.max_terms} terms"
-    )
+    return _taylor_sum(m, 1, config, "exponential-differential")
 
 
 def series_dexp_inv(m, config: SeriesConfig = _DEFAULT_CONFIG) -> np.ndarray:
@@ -152,16 +146,17 @@ def fd_directional(
     return (fp - fm) / (2.0 * h)
 
 
-def resolvent_cay(m, cond_limit: float = 1e12) -> np.ndarray:
+def resolvent_cay(m) -> np.ndarray:
     """Cayley transform (I - m)^{-1} (I + m) via linear solves.
 
     Both resolvent orderings are computed and must agree to 1e-12; they are
-    algebraically identical, so a discrepancy (or a condition number beyond
-    ``cond_limit``) indicates the input is too close to the chart boundary.
+    algebraically identical, so a discrepancy (or a condition number of
+    I - m beyond 1e12) indicates the input is too close to the chart
+    boundary.
     """
     m = _as_square(m)
     eye = np.eye(m.shape[0])
-    if np.linalg.cond(eye - m) > cond_limit:
+    if np.linalg.cond(eye - m) > _RESOLVENT_COND_LIMIT:
         raise ValueError("Cayley resolvent is ill-conditioned: chart boundary")
     left = np.linalg.solve(eye - m, eye + m)
     right = np.linalg.solve((eye - m).T, (eye + m).T).T

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Ad6, _as_vec, ad6, hat3, make_pose
+from .core import Ad6, _as_vec, _cross, _dot, ad6, hat3, make_pose
 from .scalars import (
     _adform_quad,
     _adform_quart,
@@ -47,7 +47,9 @@ from .so3 import (
     so3_cay,
     so3_cay_inv,
     so3_dcay,
+    so3_ddcay,
     so3_ddexp,
+    so3_ddexp_inv,
     so3_dexp,
     so3_dexp_inv,
     so3_log,
@@ -78,15 +80,6 @@ __all__ = [
 
 _EYE3 = np.eye(3)
 _EYE6 = np.eye(6)
-
-
-def _dot(a, b) -> float:
-    return a[0] * b[0] + a[1] * b[1] + a[2] * b[2]
-
-
-def _cross(a, b) -> list:
-    return [a[1] * b[2] - a[2] * b[1], a[2] * b[0] - a[0] * b[2],
-            a[0] * b[1] - a[1] * b[0]]
 
 
 def _mat3(skew, diag: float, *dyads) -> list:
@@ -265,8 +258,7 @@ def se3_ddexp_inv(screw, dscrew) -> np.ndarray:
     inv_quad = _dexpinv_quad(phi)
     inv_quad_rate = _dexpinv_quad_rate(phi)
     inv_quad_rate2 = _dexpinv_quad_rate2(phi)
-    diag = (-0.5 * hu + inv_quad * (hx @ hu + hu @ hx)
-            + inv_quad_rate * x_u * hx2)
+    diag = so3_ddexp_inv(x, u)
     low = (-0.5 * hv
            + inv_quad * (hx @ hv + hv @ hx + hu @ hy + hy @ hu)
            + inv_quad_rate * (mixed * hx2 + x_y * (hx @ hu + hu @ hx))
@@ -397,7 +389,7 @@ def se3_ddcay(screw, dscrew) -> np.ndarray:
     sig_sq = sig * sig
     x_u = float(x @ u)
     hx, hy, hu, hv = hat3(x), hat3(y), hat3(u), hat3(v)
-    tl = sig * hu - sig_sq * x_u * (_EYE3 + hx)
+    tl = so3_ddcay(x, u)
     bl = (sig * (hv + hv @ hx + hy @ hu)
           - sig_sq * x_u * (hy + hy @ hx))
     br = (sig * (hu + hx @ hu + hu @ hx)

@@ -207,9 +207,15 @@ def _rotation_lemma_routes(rotvec) -> dict[str, np.ndarray]:
 
 
 def sigma(gibbs) -> float:
-    """Cayley scaling factor 2/(1 + |g|**2)."""
+    """Cayley scaling factor 2/(1 + |g|**2); :class:`ChartDomainError` if
+    |g|**2 is not finite (a non-finite component, or an overflow)."""
     g = _as_vec(gibbs, 3, "gibbs")
-    return 2.0 / (1.0 + float(g @ g))
+    g_sq = float(g @ g)
+    if not math.isfinite(g_sq):
+        raise ChartDomainError(
+            f"Cayley chart needs a finite |g|**2, got {g_sq}: a component "
+            f"is not finite or |g|**2 overflows")
+    return 2.0 / (1.0 + g_sq)
 
 
 def so3_cay(gibbs) -> np.ndarray:

@@ -21,7 +21,12 @@ from liegroup_maps import (
     so3_cay,
     so3_exp,
 )
-from liegroup_maps.cli import TRAJECTORY_COLUMNS, _verify_ops, main
+from liegroup_maps.cli import (
+    TRAJECTORY_COLUMNS,
+    _EVAL_TABLE,
+    _verify_ops,
+    main,
+)
 from liegroup_maps.oracle import series_exp
 
 
@@ -91,6 +96,15 @@ def test_eval_non_finite_angle_exits_2(capsys, x):
     assert err.startswith("domain error:") and "must be finite" in err
 
 
+@pytest.mark.parametrize("x", ["nan,0,0", "1e200,0,0"])
+def test_eval_cayley_non_finite_gibbs_exits_2(capsys, x):
+    with np.errstate(over="ignore"):
+        code, out, err = _run(capsys, ["eval", "cay_so3", "--x", x])
+    assert code == 2
+    assert out == ""
+    assert err.startswith("domain error:") and "|g|**2" in err
+
+
 def test_eval_wrong_arity_exits_2(capsys):
     code, _, err = _run(capsys, ["eval", "exp_so3", "--x", "1,2"])
     assert code == 2
@@ -125,6 +139,24 @@ def test_eval_output_file(tmp_path, capsys):
 # ---------------------------------------------------------------------------
 # verify
 # ---------------------------------------------------------------------------
+
+
+# sha256 of the sorted (name, function, size, takes --y, note) rows of the
+# eval table and the sorted verify operation names
+_PINNED_TABLES_SHA256 = (
+    "b31a9110c085540623927a84ad644aca490ba55b400131ad14d8e18c7d1965b5")
+
+
+def test_cli_tables_are_pinned():
+    """Both tables are generated from naming rules; this digest pins every
+    map name, the library function it calls, its input size, whether it
+    takes a direction and its note, and the set of fault targets."""
+    entries = sorted([name, func.__name__, size, directed, note]
+                     for name, (func, size, directed, note)
+                     in _EVAL_TABLE.items())
+    tables = json.dumps([entries, sorted(_verify_ops())])
+    digest = hashlib.sha256(tables.encode()).hexdigest()
+    assert digest == _PINNED_TABLES_SHA256
 
 
 def test_verify_so3_suite_passes(capsys):

@@ -372,6 +372,16 @@ def test_non_finite_momentum_yields_partial_trajectory():
     assert info.value.partial.times.shape == (1,)
 
 
+def test_non_finite_momentum_on_cayley_yields_partial_trajectory():
+    # the NaN twist reaches the second RK4 stage as a NaN Gibbs vector
+    problem = make_heavy_top_problem(momentum0=(math.nan, 0.0, 0.0))
+    with pytest.raises(IntegrationError, match=r"step 1 .*\|g\|\*\*2") \
+            as info:
+        integrate(problem, "mk_rk4", "cayley", 1e-3, 1.0)
+    assert isinstance(info.value.__cause__, ChartDomainError)
+    assert info.value.partial.times.shape == (1,)
+
+
 def test_newton_breakdown_yields_partial_trajectory():
     problem = make_constant_twist_problem(TWIST)
     with pytest.raises(IntegrationError) as info:

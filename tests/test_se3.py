@@ -116,6 +116,13 @@ def test_non_finite_angle_raises_domain_error():
             op(bad)
 
 
+def test_cayley_rejects_non_finite_gibbs_square():
+    bad = [math.nan, 0.0, 0.0, 1.0, 0.0, 0.0]
+    for op in (se3_cay, se3_dcay, se3_dcay_inv, adjoint_cay):
+        with pytest.raises(ChartDomainError, match=r"\|g\|\*\*2"):
+            op(bad)
+
+
 def test_dexp_inv_domain_error():
     bad = np.array([0.0, 0.0, TWO_PI, 1.0, 0.0, 0.0])
     with pytest.raises(ChartDomainError, match="dexp-inverse domain exceeded"):

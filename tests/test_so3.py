@@ -299,6 +299,18 @@ def test_ddcay_product_rule_zero():
         assert_allclose(residual, np.zeros((3, 3)), atol=1e-13)
 
 
+@pytest.mark.parametrize("gibbs", [[math.nan, 0.0, 0.0], [1e200, 0.0, 0.0],
+                                   [1e200, 1e200, 0.0]])
+def test_cayley_rejects_non_finite_gibbs_square(gibbs):
+    # a NaN reaches |g|**2 as NaN and 1e200 overflows it to inf; without the
+    # check so3_cay returns NaN or non-finite entries and so3_dcay_inv
+    # divides by a zero sigma
+    with np.errstate(over="ignore"):
+        for op in (sigma, so3_cay, so3_dcay, so3_dcay_inv):
+            with pytest.raises(ChartDomainError, match=r"\|g\|\*\*2"):
+                op(gibbs)
+
+
 def test_sigma_values():
     assert sigma(np.zeros(3)) == 2.0
     assert_allclose(sigma(np.array([1.0, 0.0, 0.0])), 1.0)
