@@ -69,6 +69,19 @@ def _cross(a, b) -> list:
             a[0] * b[1] - a[1] * b[0]]
 
 
+def _mat3(skew, diag: float, *dyads) -> list:
+    """Rows of hat(skew) + diag * I + the outer products b c^T of the
+    (b, c) ``dyads``, on float sequences."""
+    a, b, c = skew
+    rows = [[diag, -c, b], [c, diag, -a], [-b, a, diag]]
+    for left, (r0, r1, r2) in dyads:
+        for row, li in zip(rows, left):
+            row[0] += li * r0
+            row[1] += li * r1
+            row[2] += li * r2
+    return rows
+
+
 def hat3(v) -> np.ndarray:
     """Skew-symmetric 3x3 matrix of a 3-vector: hat3(v) @ w == cross(v, w)."""
     v = _as_vec(v, 3, "v")

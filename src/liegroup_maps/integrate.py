@@ -24,7 +24,7 @@ from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
-from .core import ChartDomainError, _cross, hat3, pose_inverse
+from .core import ChartDomainError, _cross, _dot, _mat3, pose_inverse
 from .se3 import (
     se3_cay,
     se3_dcay,
@@ -37,7 +37,7 @@ from .se3 import (
 )
 
 _FRAMES = ("body", "spatial")
-_EYE3 = np.eye(3)
+_ZERO3 = (0.0, 0.0, 0.0)
 _FD_STEP = 1e-7     # forward-difference step of the field Jacobian fallback
 
 DEFAULT_CONSTANT_TWIST = np.array([0.3, -0.2, 0.4, 1.0, 0.5, -0.3])
@@ -337,17 +337,15 @@ def _midpoint_jacobian(cmap: CoordinateMap, field: TwistField, t: float,
         field_jac = _field_jacobian_fd(field, t_mid, mid_pose, aux_mid, twist,
                                        aux_rate)
     else:
-        field_jac = np.asarray(field.jacobian(t_mid, mid_pose, aux_mid),
-                               dtype=float)
-    by_state = np.empty_like(field_jac)
-    by_state[:, :6] = field_jac[:, :6] @ (0.5 * cmap.dmap(0.5 * sign * coords))
-    by_state[:, 6:] = 0.5 * field_jac[:, 6:]
-
-    jacobian = np.eye(state.size)
-    jacobian[:6] -= h * (dmap_mat @ by_state[:6])
-    jacobian[6:] -= h * by_state[6:]
+        field_jac = field.jacobian(t_mid, mid_pose, aux_mid)
+    # I - h [[dmap_mat, 0], [0, I]] field_jac [[dmap(.)/2, 0], [0, I/2]]
+    # - h sign ddmap_inv_tangent, built on one fresh array
+    jacobian = (-0.5 * h) * np.asarray(field_jac, dtype=float)
+    jacobian[:, :6] = jacobian[:, :6] @ cmap.dmap(0.5 * sign * coords)
+    jacobian[:6] = dmap_mat @ jacobian[:6]
     jacobian[:6, :6] -= (h * sign) * cmap.ddmap_inv_tangent(sign * coords,
                                                             twist)
+    jacobian.flat[::state.size + 1] += 1.0
     return jacobian
 
 
@@ -369,7 +367,7 @@ def implicit_midpoint_step(cmap: CoordinateMap, field: TwistField,
     for iteration in range(max_iters + 1):
         (residual, twist, aux_rate, mid_pose,
          dmap_mat) = _midpoint_residual(cmap, field, pose, t, h, aux, state)
-        res_norm = float(np.max(np.abs(residual)))
+        res_norm = _max_abs(residual.tolist())
         residuals.append(res_norm)
         if not math.isfinite(res_norm):
             raise NewtonConvergenceError(
@@ -414,9 +412,19 @@ _METHODS = ("mk_rk4", "implicit_midpoint", "piecewise")
 # ---------------------------------------------------------------------------
 
 
+def _max_abs(values: list) -> float:
+    """Largest |v| of a float list, NaN if any entry is NaN: the builtin
+    max skips a NaN unless it comes first, and np.max costs microseconds."""
+    top = max(map(abs, values))
+    return math.nan if math.isnan(sum(values)) else top
+
+
 def _orth_drift(pose: np.ndarray) -> float:
-    rot = pose[:3, :3]
-    return float(np.max(np.abs(rot.T @ rot - _EYE3)))
+    """max |R^T R - I| from the six distinct entries of the Gram matrix."""
+    c0, c1, c2 = pose[:3, :3].T.tolist()
+    return _max_abs([_dot(c0, c0) - 1.0, _dot(c1, c1) - 1.0,
+                     _dot(c2, c2) - 1.0, _dot(c0, c1), _dot(c0, c2),
+                     _dot(c1, c2)])
 
 
 def integrate(problem: Problem, method: str = "mk_rk4",
@@ -529,12 +537,15 @@ def make_heavy_top_problem(inertia=(2.0, 2.0, 1.0), mgl: float = 1.0,
     if inertia.shape != (3,) or np.any(inertia <= 0.0):
         raise ValueError("inertia must be three positive principal moments")
     chi = np.asarray(chi, dtype=float)
-    gravity_arm = -mgl * hat3(chi)
     momentum0 = np.asarray(momentum0, dtype=float)
     pose0 = np.eye(4) if initial_pose is None else np.asarray(initial_pose,
                                                               dtype=float)
 
     chi_list = chi.tolist()
+    i0, i1, i2 = inertia.tolist()
+    # the Jacobian's rows of the twist (omega = inertia^-1 momentum) and zeros
+    top_rows = ([[0.0] * 6 + row for row in np.diag(1.0 / inertia).tolist()]
+                + [[0.0] * 9] * 3)
 
     # R^T e3, the spatial vertical in the body frame, is the third row of R
     def rate(t, pose, momentum):
@@ -547,14 +558,19 @@ def make_heavy_top_problem(inertia=(2.0, 2.0, 1.0), mgl: float = 1.0,
 
     def jacobian(t, pose, momentum):
         # rows (twist, torque), columns (body rotation, body translation,
-        # momentum); the vertical moves as d(R^T e3) = hat(R^T e3) @ d_rot
-        omega = momentum / inertia
-        vertical = pose[2, :3]
-        out = np.zeros((9, 9))
-        out[:3, 6:] = np.diag(1.0 / inertia)
-        out[6:, :3] = gravity_arm @ hat3(vertical)
-        out[6:, 6:] = hat3(momentum) / inertia - hat3(omega)
-        return out
+        # momentum); the vertical moves as d(R^T e3) = hat(R^T e3) @ d_rot, so
+        # the gravity block is -mgl hat(chi) hat(v) = -mgl (v chi^T - (chi.v) I)
+        # and the momentum block is hat(momentum) inertia^-1 - hat(omega)
+        m0, m1, m2 = momentum.tolist()
+        w0, w1, w2 = m0 / i0, m1 / i1, m2 / i2
+        v = pose[2, :3].tolist()
+        gravity = _mat3(_ZERO3, mgl * _dot(chi_list, v),
+                        ([-mgl * vi for vi in v], chi_list))
+        spin = [[0.0, w2 - m2 / i1, m1 / i2 - w1],
+                [m2 / i0 - w2, 0.0, w0 - m0 / i2],
+                [w1 - m1 / i0, m0 / i1 - w0, 0.0]]
+        return np.array(top_rows + [g + [0.0, 0.0, 0.0] + s
+                                    for g, s in zip(gravity, spin)])
 
     def energy(pose, momentum):
         return float(0.5 * momentum @ (momentum / inertia)

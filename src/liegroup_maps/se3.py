@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Ad6, _as_vec, _cross, _dot, ad6, hat3, make_pose
+from .core import Ad6, _as_vec, _cross, _dot, _mat3, ad6, hat3
 from .scalars import (
     _adform_quad,
     _adform_quart,
@@ -43,11 +43,15 @@ from .scalars import (
     ensure_dexp_inv_domain,
 )
 from .so3 import (
+    _cay_rows,
+    _dcay_inv_rows,
+    _sigma,
     sigma,
     so3_cay,
     so3_cay_inv,
     so3_dcay,
     so3_ddcay,
+    so3_ddcay_inv,
     so3_ddexp,
     so3_ddexp_inv,
     so3_dexp,
@@ -82,24 +86,12 @@ _EYE3 = np.eye(3)
 _EYE6 = np.eye(6)
 
 
-def _mat3(skew, diag: float, *dyads) -> list:
-    """Rows of hat(skew) + diag * I + the outer products b c^T of the
-    (b, c) ``dyads``, on float sequences."""
-    a, b, c = skew
-    rows = [[diag, -c, b], [c, diag, -a], [-b, a, diag]]
-    for left, right in dyads:
-        for row, li in zip(rows, left):
-            for j, rj in enumerate(right):
-                row[j] += li * rj
-    return rows
-
-
 def _blocks66(tl, bl, br) -> np.ndarray:
-    out = np.zeros((6, 6))
-    out[:3, :3] = tl
-    out[3:, :3] = bl
-    out[3:, 3:] = br
-    return out
+    """[[tl, 0], [bl, br]] from the row lists of three 3x3 blocks."""
+    (t0, t1, t2), (l0, l1, l2), (r0, r1, r2) = tl, bl, br
+    zero = [0.0, 0.0, 0.0]
+    return np.array(t0 + zero + t1 + zero + t2 + zero
+                    + l0 + r0 + l1 + r1 + l2 + r2).reshape(6, 6)
 
 
 # ---------------------------------------------------------------------------
@@ -151,8 +143,8 @@ def se3_dexp(screw) -> np.ndarray:
     """
     s = _as_vec(screw, 6, "screw")
     x, y = s[:3], s[3:]
-    d = so3_dexp(x)
-    return _blocks66(d, so3_ddexp(x, y), d)
+    d = so3_dexp(x).tolist()
+    return _blocks66(d, so3_ddexp(x, y).tolist(), d)
 
 
 def se3_dexp_inv(screw) -> np.ndarray:
@@ -232,7 +224,7 @@ def se3_ddexp(screw, dscrew) -> np.ndarray:
     quad_rate = _dexp_quad_rate(phi)
     lin_rate2 = _dexp_lin_rate2(phi)
     quad_rate2 = _dexp_quad_rate2(phi)
-    diag = so3_ddexp(x, u)
+    diag = so3_ddexp(x, u).tolist()
     low = (half_beta * hv
            + delta * (hx @ hv + hv @ hx + hu @ hy + hy @ hu)
            + lin_rate * (x_y * hu + mixed * hx)
@@ -240,7 +232,7 @@ def se3_ddexp(screw, dscrew) -> np.ndarray:
            + x_u * (lin_rate * hy
                     + quad_rate * (hx @ hy + hy @ hx)
                     + x_y * (lin_rate2 * hx + quad_rate2 * hx2)))
-    return _blocks66(diag, low, diag)
+    return _blocks66(diag, low.tolist(), diag)
 
 
 def se3_ddexp_inv(screw, dscrew) -> np.ndarray:
@@ -258,13 +250,13 @@ def se3_ddexp_inv(screw, dscrew) -> np.ndarray:
     inv_quad = _dexpinv_quad(phi)
     inv_quad_rate = _dexpinv_quad_rate(phi)
     inv_quad_rate2 = _dexpinv_quad_rate2(phi)
-    diag = so3_ddexp_inv(x, u)
+    diag = so3_ddexp_inv(x, u).tolist()
     low = (-0.5 * hv
            + inv_quad * (hx @ hv + hv @ hx + hu @ hy + hy @ hu)
            + inv_quad_rate * (mixed * hx2 + x_y * (hx @ hu + hu @ hx))
            + x_u * (inv_quad_rate * (hx @ hy + hy @ hx)
                     + x_y * inv_quad_rate2 * hx2))
-    return _blocks66(diag, low, diag)
+    return _blocks66(diag, low.tolist(), diag)
 
 
 def se3_ddexp_inv_tangent(screw, twist) -> np.ndarray:
@@ -311,16 +303,19 @@ def se3_ddexp_inv_tangent(screw, twist) -> np.ndarray:
 
 def se3_ddcay_inv_tangent(screw, twist) -> np.ndarray:
     """Matrix whose j-th column is ``se3_ddcay_inv(screw, basis_j) @ twist``."""
-    s = _as_vec(screw, 6, "screw")
-    v6 = _as_vec(twist, 6, "twist")
-    x, y = s[:3], s[3:]
-    wa, wl = v6[:3], v6[3:]
-    hx, hy = hat3(x), hat3(y)
-    hwa = hat3(wa)
-    tl = (np.outer(wa, x)
-          + 0.5 * (hwa - hat3(hx @ wa) - hx @ hwa))
-    low = 0.5 * (hat3(wl) - hat3(hy @ wa))
-    br = 0.5 * (hwa - hx @ hwa)
+    s = _as_vec(screw, 6, "screw").tolist()
+    v6 = _as_vec(twist, 6, "twist").tolist()
+    x, y, wa, wl = s[:3], s[3:], v6[:3], v6[3:]
+    _sigma(x)       # the chart check; the tangent needs no sigma
+    # component form on floats, from hat(x) hat(wa) = wa x^T - (x.wa) I:
+    # tl = wa x^T + (hat(wa) - hat(x × wa) - hat(x) hat(wa)) / 2,
+    # low = hat(wl - y × wa) / 2 and br = (hat(wa) - hat(x) hat(wa)) / 2
+    half_wa = [0.5 * wi for wi in wa]
+    half_x_wa = 0.5 * _dot(x, wa)
+    tl = _mat3([hi - 0.5 * pi for hi, pi in zip(half_wa, _cross(x, wa))],
+               half_x_wa, (half_wa, x))
+    low = _mat3([0.5 * (li - ci) for li, ci in zip(wl, _cross(y, wa))], 0.0)
+    br = _mat3(half_wa, half_x_wa, ([-hi for hi in half_wa], x))
     return _blocks66(tl, low, br)
 
 
@@ -335,10 +330,11 @@ def se3_cay(screw) -> np.ndarray:
     Rotation block from the Gibbs vector x; translation (I + R) @ y.
     Identical to the 4x4 resolvent (I - hat(X))^{-1} (I + hat(X)).
     """
-    s = _as_vec(screw, 6, "screw")
+    s = _as_vec(screw, 6, "screw").tolist()
     x, y = s[:3], s[3:]
-    rot = so3_cay(x)
-    return make_pose(rot, (_EYE3 + rot) @ y)
+    rows = _cay_rows(x, _sigma(x))
+    return np.array([row + [yi + _dot(row, y)] for row, yi in zip(rows, y)]
+                    + [[0.0, 0.0, 0.0, 1.0]])
 
 
 def se3_cay_inv(pose) -> np.ndarray:
@@ -358,25 +354,28 @@ def se3_dcay(screw) -> np.ndarray:
     The rotation diagonal is s*(I + hat(x)); the translation diagonal is
     I + R; the value at X = 0 is 2*I.
     """
-    s = _as_vec(screw, 6, "screw")
+    s = _as_vec(screw, 6, "screw").tolist()
     x, y = s[:3], s[3:]
-    sig = sigma(x)
-    hx, hy = hat3(x), hat3(y)
-    tl = sig * (_EYE3 + hx)
-    return _blocks66(tl, hy @ tl, 2.0 * _EYE3 + sig * (hx + hx @ hx))
+    sig = _sigma(x)
+    sx = [sig * xi for xi in x]
+    # hat(y) s (I + hat(x)) = s (hat(y) + x y^T - (x.y) I); I + R has the
+    # exact diagonal 2 - s (x_j^2 + x_k^2)
+    return _blocks66(_mat3(sx, sig),
+                     _mat3([sig * yi for yi in y], -sig * _dot(x, y), (sx, y)),
+                     _cay_rows(x, sig, 2.0))
 
 
 def se3_dcay_inv(screw) -> np.ndarray:
     """Inverse of :func:`se3_dcay`; value I/2 at X = 0.  Defined for every
     screw (the Cayley differential never degenerates)."""
-    s = _as_vec(screw, 6, "screw")
+    s = _as_vec(screw, 6, "screw").tolist()
     x, y = s[:3], s[3:]
-    sig = sigma(x)
-    hx, hy = hat3(x), hat3(y)
-    tl = 0.5 * ((2.0 / sig) * _EYE3 + hx @ hx - hx)
-    bl = 0.5 * ((hx - _EYE3) @ hy)
-    br = 0.5 * (_EYE3 - hx)
-    return _blocks66(tl, bl, br)
+    half_y = [0.5 * yi for yi in y]
+    # (hat(x) - I) hat(y) / 2 = (y x^T - (x.y) I - hat(y)) / 2
+    return _blocks66(_dcay_inv_rows(x),
+                     _mat3([-hi for hi in half_y], -0.5 * _dot(x, y),
+                           (half_y, x)),
+                     _mat3([-0.5 * xi for xi in x], 0.5))
 
 
 def se3_ddcay(screw, dscrew) -> np.ndarray:
@@ -394,7 +393,7 @@ def se3_ddcay(screw, dscrew) -> np.ndarray:
           - sig_sq * x_u * (hy + hy @ hx))
     br = (sig * (hu + hx @ hu + hu @ hx)
           - sig_sq * x_u * (hx + hx @ hx))
-    return _blocks66(tl, bl, br)
+    return _blocks66(tl.tolist(), bl.tolist(), br.tolist())
 
 
 def se3_ddcay_inv(screw, dscrew) -> np.ndarray:
@@ -403,12 +402,11 @@ def se3_ddcay_inv(screw, dscrew) -> np.ndarray:
     ds = _as_vec(dscrew, 6, "dscrew")
     x, y = s[:3], s[3:]
     u, v = ds[:3], ds[3:]
-    x_u = float(x @ u)
     hx, hy, hu, hv = hat3(x), hat3(y), hat3(u), hat3(v)
-    tl = 0.5 * (2.0 * x_u * _EYE3 + hu @ hx + hx @ hu - hu)
+    tl = so3_ddcay_inv(x, u)
     bl = 0.5 * (hx @ hv + hu @ hy - hv)
     br = -0.5 * hu
-    return _blocks66(tl, bl, br)
+    return _blocks66(tl.tolist(), bl.tolist(), br.tolist())
 
 
 # ---------------------------------------------------------------------------
@@ -429,7 +427,7 @@ def adjoint_cay(screw) -> np.ndarray:
     rot = so3_cay(x)
     one_plus = _EYE3 + rot
     coupling = 0.5 * one_plus @ hat3(y) @ one_plus
-    return _blocks66(rot, coupling, rot)
+    return _blocks66(rot.tolist(), coupling.tolist(), rot.tolist())
 
 
 def adjoint_cay_A_forms(screw) -> dict[str, np.ndarray]:

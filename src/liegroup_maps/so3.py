@@ -20,7 +20,7 @@ import math
 
 import numpy as np
 
-from .core import ChartDomainError, _as_vec, hat3, is_rotation, vee3
+from .core import ChartDomainError, _as_vec, _dot, hat3, is_rotation, vee3
 from .scalars import (
     _dexp_lin_rate,
     _dexp_quad,
@@ -164,23 +164,6 @@ def so3_ddexp_inv(rotvec, direction) -> np.ndarray:
             + _dexpinv_quad_rate(phi) * x_dot_u * (hx @ hx))
 
 
-def _dexp_raw_trig(rotvec) -> np.ndarray:
-    """Alternative evaluation of :func:`so3_dexp` from raw trigonometry.
-
-    Deliberately shares nothing with the guarded kernels (no series, no
-    cancellation control), so it is only accurate away from small angles.
-    Used as an independent cross-check route.
-    """
-    x = _as_vec(rotvec, 3, "rotvec")
-    phi = float(np.linalg.norm(x))
-    if phi < 1e-8:
-        return np.eye(3) + 0.5 * hat3(x)
-    hx = hat3(x)
-    return (np.eye(3)
-            + ((1.0 - math.cos(phi)) / phi**2) * hx
-            + ((phi - math.sin(phi)) / phi**3) * (hx @ hx))
-
-
 def _rotation_lemma_routes(rotvec) -> dict[str, np.ndarray]:
     """The rotation matrix by four differential-only routes.
 
@@ -206,16 +189,43 @@ def _rotation_lemma_routes(rotvec) -> dict[str, np.ndarray]:
 # ---------------------------------------------------------------------------
 
 
-def sigma(gibbs) -> float:
-    """Cayley scaling factor 2/(1 + |g|**2); :class:`ChartDomainError` if
-    |g|**2 is not finite (a non-finite component, or an overflow)."""
-    g = _as_vec(gibbs, 3, "gibbs")
-    g_sq = float(g @ g)
+def _sigma(g) -> float:
+    """:func:`sigma` of a Gibbs vector given as floats; also the chart check
+    of the maps that need no sigma."""
+    g_sq = _dot(g, g)
     if not math.isfinite(g_sq):
         raise ChartDomainError(
             f"Cayley chart needs a finite |g|**2, got {g_sq}: a component "
             f"is not finite or |g|**2 overflows")
     return 2.0 / (1.0 + g_sq)
+
+
+def sigma(gibbs) -> float:
+    """Cayley scaling factor 2/(1 + |g|**2); :class:`ChartDomainError` if
+    |g|**2 is not finite (a non-finite component, or an overflow)."""
+    return _sigma(_as_vec(gibbs, 3, "gibbs").tolist())
+
+
+def _cay_rows(g, s: float, diag: float = 1.0) -> list:
+    """Rows of diag*I + s*(hat(g) + g g^T - |g|**2 I) on floats; the
+    diagonal diag - s*(g_j**2 + g_k**2) rounds once (diag - s*|g|**2 +
+    s*g_i**2 rounds twice and lets a rotation drift off orthogonality)."""
+    a, b, c = g
+    aa, bb, cc = a * a, b * b, c * c
+    ab, ac, bc = a * b, a * c, b * c
+    return [[diag - s * (bb + cc), s * (ab - c), s * (ac + b)],
+            [s * (ab + c), diag - s * (aa + cc), s * (bc - a)],
+            [s * (ac - b), s * (bc + a), diag - s * (aa + bb)]]
+
+
+def _dcay_inv_rows(g) -> list:
+    """Rows of (I + g g^T - hat(g))/2 = (1/s) I + (hat(g)**2 - hat(g))/2 on
+    floats, so the diagonal is the exact (1 + g_i**2)/2."""
+    _sigma(g)       # the chart check
+    a, b, c = g
+    return [[0.5 * (1.0 + a * a), 0.5 * (a * b + c), 0.5 * (a * c - b)],
+            [0.5 * (a * b - c), 0.5 * (1.0 + b * b), 0.5 * (b * c + a)],
+            [0.5 * (a * c + b), 0.5 * (b * c - a), 0.5 * (1.0 + c * c)]]
 
 
 def so3_cay(gibbs) -> np.ndarray:
@@ -224,9 +234,8 @@ def so3_cay(gibbs) -> np.ndarray:
     R = I + s*(hat(g) + hat(g)**2) with s = 2/(1 + |g|**2); rational, no
     trigonometry, covers every rotation except angle pi.
     """
-    g = _as_vec(gibbs, 3, "gibbs")
-    hg = hat3(g)
-    return _EYE3 + sigma(g) * (hg + hg @ hg)
+    g = _as_vec(gibbs, 3, "gibbs").tolist()
+    return np.array(_cay_rows(g, _sigma(g)))
 
 
 def so3_cay_inv(rot) -> np.ndarray:
@@ -260,19 +269,7 @@ def so3_dcay_inv(gibbs) -> np.ndarray:
 
     (1/s)*I + (hat(g)**2 - hat(g))/2; equals I/2 at g = 0.
     """
-    g = _as_vec(gibbs, 3, "gibbs")
-    hg = hat3(g)
-    return (1.0 / sigma(g)) * _EYE3 + 0.5 * (hg @ hg - hg)
-
-
-def _dcay_inv_via_rotation(gibbs) -> np.ndarray:
-    """Alternative evaluation of :func:`so3_dcay_inv` as (I + R^T)/(2 s).
-
-    Independent route through the assembled rotation matrix, used for
-    cross-checking the matrix-polynomial form.
-    """
-    g = _as_vec(gibbs, 3, "gibbs")
-    return (_EYE3 + so3_cay(g).T) / (2.0 * sigma(g))
+    return np.array(_dcay_inv_rows(_as_vec(gibbs, 3, "gibbs").tolist()))
 
 
 def so3_ddcay(gibbs, direction) -> np.ndarray:
@@ -287,5 +284,6 @@ def so3_ddcay_inv(gibbs, direction) -> np.ndarray:
     """Directional derivative of :func:`so3_dcay_inv` along ``direction``."""
     g = _as_vec(gibbs, 3, "gibbs")
     w = _as_vec(direction, 3, "direction")
+    _sigma(g.tolist())      # the chart check
     hg, hw = hat3(g), hat3(w)
     return float(g @ w) * _EYE3 + 0.5 * (hg @ hw + hw @ hg - hw)

@@ -388,17 +388,35 @@ def test_convergence_rejects_nondividing_step(capsys):
 # ---------------------------------------------------------------------------
 
 
-def test_module_entry_point_subprocess():
+def _run_child(args, check=True):
     # the child imports the same package this process imported, installed
     # or from a source checkout
     package_root = str(Path(liegroup_maps.__file__).resolve().parents[1])
     paths = [package_root, os.environ.get("PYTHONPATH", "")]
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, paths))}
-    out = subprocess.run(
-        [sys.executable, "-m", "liegroup_maps", "eval", "cay_so3",
-         "--x", "1,0,0"],
-        capture_output=True, text=True, check=True, env=env)
+    return subprocess.run([sys.executable, "-m", "liegroup_maps", *args],
+                          capture_output=True, text=True, check=check, env=env)
+
+
+def test_module_entry_point_subprocess():
+    out = _run_child(["eval", "cay_so3", "--x", "1,0,0"])
     row = _rows(out.stdout)[1]
     matrix = np.array([float(v) for v in row]).reshape(3, 3)
     np.testing.assert_allclose(matrix, so3_cay(np.array([1.0, 0.0, 0.0])),
                                atol=1e-15)
+
+
+@pytest.mark.parametrize("argv", [
+    ["cay_so3", "--x", "1e200,0,0"],
+    ["dcayinv_so3", "--x", "1e200,1e200,0"],
+    ["cay_se3", "--x", "1e200,0,0,0,0,0"],
+])
+def test_overflowing_gibbs_vector_prints_only_the_domain_error(argv):
+    # |g|**2 overflows on floats, so the child's stderr holds the one
+    # domain-error line and no NumPy RuntimeWarning
+    out = _run_child(["eval", *argv], check=False)
+    assert out.returncode == 2
+    assert out.stdout == ""
+    assert out.stderr == ("domain error: Cayley chart needs a finite |g|**2, "
+                          "got inf: a component is not finite or |g|**2 "
+                          "overflows\n")

@@ -35,6 +35,7 @@ from liegroup_maps.se3 import (
     se3_exp,
     se3_log,
 )
+from liegroup_maps.so3 import so3_cay
 
 RNG = np.random.default_rng(42)
 
@@ -121,6 +122,15 @@ def test_cayley_rejects_non_finite_gibbs_square():
     for op in (se3_cay, se3_dcay, se3_dcay_inv, adjoint_cay):
         with pytest.raises(ChartDomainError, match=r"\|g\|\*\*2"):
             op(bad)
+
+
+@pytest.mark.parametrize("gibbs", [[math.nan, 0.0, 0.0], [1e200, 0.0, 0.0]])
+def test_cayley_derivatives_reject_non_finite_gibbs_square(gibbs):
+    # neither needs sigma; the tangent sits on the implicit-midpoint path
+    bad = gibbs + [1.0, 0.0, 0.0]
+    for op in (se3_ddcay_inv, se3_ddcay_inv_tangent):
+        with pytest.raises(ChartDomainError, match=r"\|g\|\*\*2"):
+            op(bad, np.ones(6))
 
 
 def test_dexp_inv_domain_error():
@@ -245,6 +255,17 @@ def test_cay_matches_resolvent():
     for _ in range(200):
         s = random_screw(max_angle=3.0)
         assert_allclose(se3_cay(s), resolvent_cay(hat6(s)), atol=1e-12)
+
+
+def test_cay_rotation_block_is_so3_cay_bit_for_bit():
+    # one rotation formula: the screw map's rotation block is the rotation
+    # map itself, across small, unit and large Gibbs vectors
+    rng = np.random.default_rng(5)
+    for scale in (1e-8, 1.0, 1e3):
+        for _ in range(100):
+            g = scale * rng.uniform(0.5, 2.0) * rng.standard_normal(3)
+            pose = se3_cay(np.concatenate([g, rng.standard_normal(3)]))
+            assert np.array_equal(pose[:3, :3], so3_cay(g))
 
 
 def test_cay_pure_translation_doubles():

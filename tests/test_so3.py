@@ -13,8 +13,6 @@ from liegroup_maps.oracle import (
     series_exp,
 )
 from liegroup_maps.so3 import (
-    _dcay_inv_via_rotation,
-    _dexp_raw_trig,
     _rotation_lemma_routes,
     sigma,
     so3_cay,
@@ -34,6 +32,25 @@ from liegroup_maps.so3 import (
 RNG = np.random.default_rng(42)
 
 TWO_PI = 2.0 * math.pi
+
+
+def _dexp_raw_trig(x):
+    """so3_dexp from raw trigonometry: shares nothing with the guarded
+    kernels (no series, no cancellation control), so it is only accurate
+    away from small angles; an independent cross-check route."""
+    phi = float(np.linalg.norm(x))
+    if phi < 1e-8:
+        return np.eye(3) + 0.5 * hat3(x)
+    hx = hat3(x)
+    return (np.eye(3)
+            + ((1.0 - math.cos(phi)) / phi**2) * hx
+            + ((phi - math.sin(phi)) / phi**3) * (hx @ hx))
+
+
+def _dcay_inv_via_rotation(g):
+    """so3_dcay_inv as (I + R^T)/(2 s), an independent route through the
+    assembled rotation matrix."""
+    return (np.eye(3) + so3_cay(g).T) / (2.0 * sigma(g))
 
 
 def random_rotvec(max_angle=math.pi, min_angle=0.0):
@@ -309,6 +326,13 @@ def test_cayley_rejects_non_finite_gibbs_square(gibbs):
         for op in (sigma, so3_cay, so3_dcay, so3_dcay_inv):
             with pytest.raises(ChartDomainError, match=r"\|g\|\*\*2"):
                 op(gibbs)
+
+
+@pytest.mark.parametrize("gibbs", [[math.nan, 0.0, 0.0], [1e200, 0.0, 0.0]])
+def test_ddcay_inv_rejects_non_finite_gibbs_square(gibbs):
+    # so3_ddcay_inv needs no sigma, yet takes the same chart check
+    with pytest.raises(ChartDomainError, match=r"\|g\|\*\*2"):
+        so3_ddcay_inv(gibbs, [1.0, 0.0, 0.0])
 
 
 def test_sigma_values():
