@@ -13,6 +13,8 @@ Conventions used throughout the package:
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 __all__ = [
@@ -55,6 +57,13 @@ def _as_mat(m, n: int, name: str) -> np.ndarray:
     if out.shape != (n, n):
         raise ValueError(f"{name} must be a {n}x{n} matrix, got shape {out.shape}")
     return out
+
+
+def _finite_translation(y) -> None:
+    """ChartDomainError unless every entry of the float sequence ``y`` is
+    finite; entry by entry, so no sum can overflow."""
+    if not all(map(math.isfinite, y)):
+        raise ChartDomainError(f"translation must be finite, got {list(y)!r}")
 
 
 def _dot(a, b) -> float:

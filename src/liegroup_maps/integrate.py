@@ -168,7 +168,10 @@ class Trajectory:
     """Uniformly sampled motion with per-sample invariant records.
 
     ``newton_iterations`` holds one count per step: the Newton updates of an
-    implicit-midpoint step, 0 for explicit and piecewise steps.
+    implicit-midpoint step, 0 for explicit and piecewise steps.  Each
+    implicit-midpoint step after the first starts Newton from the previous
+    step's solution, so its count is 0 when that start already meets the
+    tolerance.
     """
 
     times: np.ndarray
@@ -352,17 +355,27 @@ def _midpoint_jacobian(cmap: CoordinateMap, field: TwistField, t: float,
 def implicit_midpoint_step(cmap: CoordinateMap, field: TwistField,
                            pose: np.ndarray, t: float, h: float, aux=None,
                            newton_tol: float = 1e-12,
-                           max_iters: int = 20) -> StepResult:
+                           max_iters: int = 20, guess=None) -> StepResult:
     """Advance one implicit-midpoint step, solving the chart equation by Newton.
 
     The midpoint pose is reached through half the chart increment; the
-    chart operator is evaluated at the full increment.  Raises
-    NewtonConvergenceError as soon as the residual is non-finite, or when it
-    fails to drop below ``newton_tol`` within ``max_iters`` updates.
+    chart operator is evaluated at the full increment.  Newton starts from
+    ``guess``, the chart increment stacked with the end-of-step auxiliary
+    state (a zero increment and ``aux`` if None); a start that already meets
+    ``newton_tol`` takes no update.  Raises ValueError for a guess not of
+    shape ``(6 + aux.size,)``, and NewtonConvergenceError as soon as the
+    residual is non-finite, or when it fails to drop below ``newton_tol``
+    within ``max_iters`` updates.
     """
     _require_finite_positive("step size", h)
     aux = _field_aux(field, aux)
-    state = np.concatenate([np.zeros(6), aux])
+    if guess is None:
+        state = np.concatenate([np.zeros(6), aux])
+    else:
+        state = np.array(guess, dtype=float)
+        if state.shape != (6 + aux.size,):
+            raise ValueError(f"guess must have shape {(6 + aux.size,)}, got "
+                             f"{state.shape}")
     residuals = []
     for iteration in range(max_iters + 1):
         (residual, twist, aux_rate, mid_pose,
@@ -435,7 +448,10 @@ def integrate(problem: Problem, method: str = "mk_rk4",
 
     The run takes ``n = max(1, round(t_end / h))`` steps of ``t_end / n``, so
     it always ends at ``t_end``; ``Trajectory.step`` is the step taken, and
-    a ratio ``t_end / h`` that overflows raises ValueError.  On a failed step
+    a ratio ``t_end / h`` that overflows raises ValueError.  Implicit-midpoint
+    Newton starts from the previous step's chart increment and from the
+    auxiliary state moved on by its previous change; the first step starts
+    from a zero increment and the current auxiliary state.  On a failed step
     (chart domain violation or Newton breakdown) raises IntegrationError
     carrying the partial trajectory accumulated so far.
     """
@@ -476,6 +492,7 @@ def integrate(problem: Problem, method: str = "mk_rk4",
 
     pose = np.array(problem.initial_pose, dtype=float)
     aux = field.aux0.copy()
+    guess = None
     record(0.0, pose, aux)
     for k in range(n_steps):
         t = k * h
@@ -483,7 +500,12 @@ def integrate(problem: Problem, method: str = "mk_rk4",
             if method == "implicit_midpoint":
                 result = implicit_midpoint_step(
                     cmap, field, pose, t, h, aux,
-                    newton_tol=newton_tol, max_iters=max_newton_iters)
+                    newton_tol=newton_tol, max_iters=max_newton_iters,
+                    guess=guess)
+                # Newton's next start: the last increment, with the aux
+                # state extrapolated by its last change
+                guess = np.concatenate([result.coords,
+                                        result.aux + (result.aux - aux)])
             elif method == "piecewise":
                 result = _piecewise_step(cmap, field, pose, t, h, aux)
             else:
@@ -547,14 +569,15 @@ def make_heavy_top_problem(inertia=(2.0, 2.0, 1.0), mgl: float = 1.0,
     top_rows = ([[0.0] * 6 + row for row in np.diag(1.0 / inertia).tolist()]
                 + [[0.0] * 9] * 3)
 
-    # R^T e3, the spatial vertical in the body frame, is the third row of R
+    # R^T e3, the spatial vertical in the body frame, is the third row of R;
+    # rate and invariants work on floats: on 3-vectors NumPy's per-call
+    # overhead outweighs the arithmetic
     def rate(t, pose, momentum):
-        omega = momentum / inertia
-        torque = (np.array(_cross(momentum.tolist(), omega.tolist()))
-                  + mgl * np.array(_cross(pose[2, :3].tolist(), chi_list)))
-        twist = np.zeros(6)
-        twist[:3] = omega
-        return twist, torque
+        m0, m1, m2 = m = momentum.tolist()
+        omega = [m0 / i0, m1 / i1, m2 / i2]
+        gravity = _cross(pose[2, :3].tolist(), chi_list)
+        torque = [g + mgl * c for g, c in zip(_cross(m, omega), gravity)]
+        return np.array(omega + [0.0, 0.0, 0.0]), np.array(torque)
 
     def jacobian(t, pose, momentum):
         # rows (twist, torque), columns (body rotation, body translation,
@@ -573,11 +596,12 @@ def make_heavy_top_problem(inertia=(2.0, 2.0, 1.0), mgl: float = 1.0,
                                     for g, s in zip(gravity, spin)])
 
     def energy(pose, momentum):
-        return float(0.5 * momentum @ (momentum / inertia)
-                     + mgl * (pose[2, :3] @ chi))
+        m0, m1, m2 = m = momentum.tolist()
+        return (0.5 * _dot(m, (m0 / i0, m1 / i1, m2 / i2))
+                + mgl * _dot(pose[2, :3].tolist(), chi_list))
 
     def vertical_momentum(pose, momentum):
-        return float(momentum @ pose[2, :3])
+        return _dot(momentum.tolist(), pose[2, :3].tolist())
 
     field = TwistField("body", rate, aux0=momentum0, jacobian=jacobian)
     invariants = {"energy": energy, "vertical_momentum": vertical_momentum}

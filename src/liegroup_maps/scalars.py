@@ -35,6 +35,7 @@ from __future__ import annotations
 import functools
 import math
 from contextlib import contextmanager
+from contextvars import ContextVar
 
 from .core import ChartDomainError
 
@@ -81,7 +82,9 @@ def ensure_dexp_inv_domain(phi: float) -> None:
 # Branch selection
 # ---------------------------------------------------------------------------
 
-_FORCED_BRANCH: str | None = None
+# a context variable, so each thread (and each asyncio task) has its own
+_FORCED_BRANCH: ContextVar[str | None] = ContextVar("forced_branch",
+                                                    default=None)
 
 
 @contextmanager
@@ -92,23 +95,23 @@ def force_branch(branch: str):
     for exercising both sides of the small-angle seam on the same input; the
     forced series branch is only accurate for angles well below 1 radian.
     The derived quotient kernels are unaffected: their wide series window is
-    a cancellation guard, not a seam.
+    a cancellation guard, not a seam.  The pin holds in the current context
+    only, so other threads keep their own branch.
     """
-    global _FORCED_BRANCH
     if branch not in ("series", "closed"):
         raise ValueError(f"branch must be 'series' or 'closed', got {branch!r}")
-    previous = _FORCED_BRANCH
-    _FORCED_BRANCH = branch
+    token = _FORCED_BRANCH.set(branch)
     try:
         yield
     finally:
-        _FORCED_BRANCH = previous
+        _FORCED_BRANCH.reset(token)
 
 
 def _seam_use_series(phi: float) -> bool:
-    if _FORCED_BRANCH == "series":
+    forced = _FORCED_BRANCH.get()
+    if forced == "series":
         return phi < math.inf
-    if _FORCED_BRANCH == "closed":
+    if forced == "closed":
         # The closed forms are 0/0 at exactly zero; the limit is exact there.
         return phi == 0.0
     return phi < SMALL_ANGLE_THRESHOLD

@@ -26,7 +26,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Ad6, _as_vec, _cross, _dot, _mat3, ad6, hat3
+from .core import (
+    Ad6,
+    _as_vec,
+    _cross,
+    _dot,
+    _finite_translation,
+    _mat3,
+    ad6,
+    hat3,
+)
 from .scalars import (
     _adform_quad,
     _adform_quart,
@@ -108,7 +117,8 @@ def se3_exp(screw) -> np.ndarray:
     aa, bb, cc = a * a, b * b, c * c
     ab, ac, bc = a * b, a * c, b * c
     phi = math.sqrt(aa + bb + cc)
-    alpha = _sinc(phi)
+    alpha = _sinc(phi)      # the angle check comes first
+    _finite_translation((u, v, w))
     half_beta = 0.5 * _sinc_sq_half(phi)
     delta = _dexp_quad(phi)
     # x × y and x × (x × y)
@@ -131,6 +141,7 @@ def se3_log(pose) -> np.ndarray:
     if pose.shape != (4, 4):
         raise ValueError(f"pose must be 4x4, got shape {pose.shape}")
     x = so3_log(pose[:3, :3])
+    _finite_translation(pose[:3, 3].tolist())
     y = so3_dexp_inv(x) @ pose[:3, 3]
     return np.concatenate([x, y])
 
@@ -333,6 +344,7 @@ def se3_cay(screw) -> np.ndarray:
     s = _as_vec(screw, 6, "screw").tolist()
     x, y = s[:3], s[3:]
     rows = _cay_rows(x, _sigma(x))
+    _finite_translation(y)
     return np.array([row + [yi + _dot(row, y)] for row, yi in zip(rows, y)]
                     + [[0.0, 0.0, 0.0, 1.0]])
 
@@ -344,6 +356,7 @@ def se3_cay_inv(pose) -> np.ndarray:
         raise ValueError(f"pose must be 4x4, got shape {pose.shape}")
     rot = pose[:3, :3]
     x = so3_cay_inv(rot)
+    _finite_translation(pose[:3, 3].tolist())
     y = np.linalg.solve(_EYE3 + rot, pose[:3, 3])
     return np.concatenate([x, y])
 

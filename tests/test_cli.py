@@ -105,6 +105,14 @@ def test_eval_cayley_non_finite_gibbs_exits_2(capsys, x):
     assert err.startswith("domain error:") and "|g|**2" in err
 
 
+@pytest.mark.parametrize("name", ["exp_se3", "cay_se3"])
+def test_eval_non_finite_translation_exits_2(capsys, name):
+    code, out, err = _run(capsys, ["eval", name, "--x", "0,0,0,nan,0,0"])
+    assert code == 2
+    assert out == ""
+    assert err.startswith("domain error:") and "translation" in err
+
+
 def test_eval_wrong_arity_exits_2(capsys):
     code, _, err = _run(capsys, ["eval", "exp_so3", "--x", "1,2"])
     assert code == 2

@@ -289,11 +289,61 @@ def test_midpoint_trajectory_records_newton_iterations():
     assert iterations.shape == (10,)
     assert iterations.dtype.kind == "i"
     assert np.all(iterations >= 1)
+    # replay the chain through the public step with integrate's guesses
+    pose, aux, guess = trajectory.poses[0], trajectory.aux[0], None
     for k, t in enumerate(trajectory.times[:-1]):
-        step = implicit_midpoint_step(cayley_map(), problem.field,
-                                      trajectory.poses[k], t, 0.05,
-                                      trajectory.aux[k])
+        step = implicit_midpoint_step(cayley_map(), problem.field, pose, t,
+                                      0.05, aux, guess=guess)
         assert step.iterations == iterations[k]
+        np.testing.assert_array_equal(step.pose, trajectory.poses[k + 1])
+        np.testing.assert_array_equal(step.aux, trajectory.aux[k + 1])
+        guess = np.concatenate([step.coords, step.aux + (step.aux - aux)])
+        pose, aux = step.pose, step.aux
+
+
+@pytest.mark.parametrize("kind", ["exponential", "cayley"])
+def test_warm_start_takes_one_update_after_the_first_step(kind):
+    problem = make_heavy_top_problem(momentum0=(3.0, -2.0, 4.0))
+    iterations = integrate(problem, "implicit_midpoint", kind, 1e-3,
+                           0.25).newton_iterations
+    assert iterations[0] >= 1
+    assert np.all(iterations[1:] == 1)
+
+
+@pytest.mark.parametrize("kind", ["exponential", "cayley"])
+def test_warm_run_matches_cold_replay(kind):
+    problem = make_heavy_top_problem(momentum0=(3.0, -2.0, 4.0))
+    warm = integrate(problem, "implicit_midpoint", kind, 1e-3, 0.25)
+    cmap = coordinate_map(kind)
+    pose, aux = warm.poses[0], warm.aux[0]
+    for k, t in enumerate(warm.times[:-1]):
+        step = implicit_midpoint_step(cmap, problem.field, pose, t, 1e-3, aux)
+        pose, aux = step.pose, step.aux
+        assert np.max(np.abs(pose - warm.poses[k + 1])) <= 1e-10
+        assert np.max(np.abs(aux - warm.aux[k + 1])) <= 1e-10
+
+
+def test_warm_start_is_exact_for_a_constant_twist():
+    # the exponential chart's increment h * twist solves every step, so
+    # only the cold first step needs an update
+    trajectory = integrate(make_constant_twist_problem(TWIST),
+                           "implicit_midpoint", "exponential", 0.25, 1.0)
+    np.testing.assert_array_equal(trajectory.newton_iterations, [1, 0, 0, 0])
+
+
+def test_midpoint_guess_shape_and_default():
+    field = make_heavy_top_problem().field
+    aux = field.aux0
+    for bad in (np.zeros(6), np.zeros(10), np.zeros((9, 1))):
+        with pytest.raises(ValueError, match="guess must have shape"):
+            implicit_midpoint_step(cayley_map(), field, np.eye(4), 0.0, 0.05,
+                                   guess=bad)
+    cold = implicit_midpoint_step(cayley_map(), field, np.eye(4), 0.0, 0.05)
+    zero = implicit_midpoint_step(cayley_map(), field, np.eye(4), 0.0, 0.05,
+                                  guess=np.concatenate([np.zeros(6), aux]))
+    assert zero.iterations == cold.iterations
+    np.testing.assert_array_equal(zero.pose, cold.pose)
+    np.testing.assert_array_equal(zero.aux, cold.aux)
 
 
 def test_integrate_rejects_bad_arguments():

@@ -4,6 +4,7 @@ import math
 import os
 import subprocess
 import sys
+import threading
 from fractions import Fraction
 
 import mpmath as mp
@@ -308,6 +309,34 @@ def test_force_branch_validation_and_restore():
         pass
     # state restored: natural branch at large angle is the closed form
     assert _sinc(2.0) == math.sin(2.0) / 2.0
+
+
+def test_force_branch_is_per_thread():
+    # one thread evaluates under force_branch("closed") while another,
+    # unforced, evaluates at the same time; each sees its own branch
+    phi = 1e-3
+    inside, done = threading.Barrier(2), threading.Barrier(2)
+    seen = {}
+
+    def look(label):
+        inside.wait(timeout=10)
+        seen[label] = (scalars._seam_use_series(phi), _sinc(phi))
+        done.wait(timeout=10)
+
+    def forced():
+        with force_branch("closed"):
+            look("closed")
+
+    threads = [threading.Thread(target=forced),
+               threading.Thread(target=look, args=("unforced",))]
+    for thread in threads:
+        thread.start()
+    for thread in threads:
+        thread.join(timeout=10)
+        assert not thread.is_alive()
+    assert seen["closed"] == (False, math.sin(phi) / phi)
+    assert seen["unforced"] == (
+        True, scalars._poly_even(scalars._SINC_SERIES, phi))
 
 
 # ---------------------------------------------------------------------------

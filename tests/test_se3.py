@@ -133,6 +133,29 @@ def test_cayley_derivatives_reject_non_finite_gibbs_square(gibbs):
             op(bad, np.ones(6))
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+@pytest.mark.parametrize("op", [se3_exp, se3_cay, se3_log, se3_cay_inv])
+def test_non_finite_translation_raises_domain_error(op, bad):
+    # a screw for the maps, a pose for the inverses; the rotation is finite
+    if op in (se3_exp, se3_cay):
+        arg = np.array([0.3, -0.2, 0.1, 0.5, bad, -0.4])
+    else:
+        arg = np.eye(4)
+        arg[1, 3] = bad
+    with pytest.raises(ChartDomainError, match="translation must be finite"):
+        op(arg)
+
+
+@pytest.mark.parametrize("op", [se3_exp, se3_cay])
+def test_huge_finite_translation_passes(op):
+    # entries are checked one by one: a sum of these would overflow
+    y = np.array([1e300, 1e300, 1e300])
+    pose = op(np.concatenate([np.zeros(3), y]))
+    assert np.all(np.isfinite(pose))
+    for inv in (se3_log, se3_cay_inv):
+        assert np.all(np.isfinite(inv(pose)[3:]))
+
+
 def test_dexp_inv_domain_error():
     bad = np.array([0.0, 0.0, TWO_PI, 1.0, 0.0, 0.0])
     with pytest.raises(ChartDomainError, match="dexp-inverse domain exceeded"):
