@@ -4,10 +4,12 @@ Screws are 6-vectors with the angular block first: X = (x, y) where x drives
 the rotation and y the translation.
 
 The exponential-chart differentials come in two algebraically identical
-shapes: a 2x2 block form whose off-diagonal block is the directional
-derivative of the rotation differential along the translation part, and a
-polynomial in the 6x6 adjoint operator.  Both are implemented and
-cross-checked; the block form is the cheaper default.
+shapes: a polynomial in the 6x6 adjoint operator, and the cheaper default 2x2
+block form, built from the float rows of the :mod:`liegroup_maps.so3` maps:
+the rotation differential on the diagonal and its derivative along the
+translation below it (and the rotation block of ``se3_exp``).  The adjoint
+forms, the lower blocks of ``se3_ddexp``/``se3_ddexp_inv`` and
+``se3_ddexp_inv_tangent`` have implementations of their own.
 
 The Cayley chart uses the unhalved scaling throughout (see
 :mod:`liegroup_maps.so3`): ``se3_dcay(0)`` is ``2*I`` on the rotation and
@@ -21,7 +23,6 @@ gap.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -52,8 +53,11 @@ from .scalars import (
     ensure_dexp_inv_domain,
 )
 from .so3 import (
+    _angle,
     _cay_rows,
     _dcay_inv_rows,
+    _hat_poly_deriv_rows,
+    _hat_poly_rows,
     _sigma,
     sigma,
     so3_cay,
@@ -61,9 +65,6 @@ from .so3 import (
     so3_dcay,
     so3_ddcay,
     so3_ddcay_inv,
-    so3_ddexp,
-    so3_ddexp_inv,
-    so3_dexp,
     so3_dexp_inv,
     so3_log,
 )
@@ -98,9 +99,19 @@ _EYE6 = np.eye(6)
 def _blocks66(tl, bl, br) -> np.ndarray:
     """[[tl, 0], [bl, br]] from the row lists of three 3x3 blocks."""
     (t0, t1, t2), (l0, l1, l2), (r0, r1, r2) = tl, bl, br
-    zero = [0.0, 0.0, 0.0]
-    return np.array(t0 + zero + t1 + zero + t2 + zero
-                    + l0 + r0 + l1 + r1 + l2 + r2).reshape(6, 6)
+    return np.fromiter([*t0, 0.0, 0.0, 0.0, *t1, 0.0, 0.0, 0.0,
+                        *t2, 0.0, 0.0, 0.0, *l0, *r0, *l1, *r1, *l2, *r2],
+                       float, 36).reshape(6, 6)
+
+
+def _split(vec, chart=None, name: str = "screw"):
+    """(x, y, chart(x)) of a 6-vector's angular and translation parts as
+    floats; the chart's check of x (if any) runs before the translation's."""
+    a, b, c, u, v, w = _as_vec(vec, 6, name).tolist()
+    x, y = [a, b, c], [u, v, w]
+    checked = None if chart is None else chart(x)
+    _finite_translation(y)
+    return x, y, checked
 
 
 # ---------------------------------------------------------------------------
@@ -111,28 +122,18 @@ def _blocks66(tl, bl, br) -> np.ndarray:
 def se3_exp(screw) -> np.ndarray:
     """Pose of a screw: rotation from the angular block, translation through
     the rotation differential applied to the linear block."""
-    a, b, c, u, v, w = _as_vec(screw, 6, "screw").tolist()
-    # component form on floats, hat(x)^2 = x x^T - phi^2 I: this sits on
-    # integrator hot paths, where NumPy's per-call overhead dominated
-    aa, bb, cc = a * a, b * b, c * c
-    ab, ac, bc = a * b, a * c, b * c
-    phi = math.sqrt(aa + bb + cc)
-    alpha = _sinc(phi)      # the angle check comes first
-    _finite_translation((u, v, w))
-    half_beta = 0.5 * _sinc_sq_half(phi)
-    delta = _dexp_quad(phi)
-    # x × y and x × (x × y)
+    x, y, phi = _split(screw, _angle)
+    half_beta, delta = 0.5 * _sinc_sq_half(phi), _dexp_quad(phi)
+    r0, r1, r2 = _hat_poly_rows(x, _sinc(phi), half_beta)
+    # translation dexp(x) y = y + (beta/2) x × y + delta x × (x × y)
+    a, b, c = x
+    u, v, w = y
     p0, p1, p2 = b * w - c * v, c * u - a * w, a * v - b * u
     q0, q1, q2 = b * p2 - c * p1, c * p0 - a * p2, a * p1 - b * p0
-    return np.array((
-        (1.0 - half_beta * (bb + cc), half_beta * ab - alpha * c,
-         half_beta * ac + alpha * b, u + half_beta * p0 + delta * q0),
-        (half_beta * ab + alpha * c, 1.0 - half_beta * (aa + cc),
-         half_beta * bc - alpha * a, v + half_beta * p1 + delta * q1),
-        (half_beta * ac - alpha * b, half_beta * bc + alpha * a,
-         1.0 - half_beta * (aa + bb), w + half_beta * p2 + delta * q2),
-        (0.0, 0.0, 0.0, 1.0),
-    ))
+    return np.fromiter([*r0, u + half_beta * p0 + delta * q0,
+                        *r1, v + half_beta * p1 + delta * q1,
+                        *r2, w + half_beta * p2 + delta * q2,
+                        0.0, 0.0, 0.0, 1.0], float, 16).reshape(4, 4)
 
 
 def se3_log(pose) -> np.ndarray:
@@ -152,47 +153,27 @@ def se3_dexp(screw) -> np.ndarray:
     Diagonal blocks are the rotation differential; the lower-left block is
     its directional derivative along the translation part of the screw.
     """
-    s = _as_vec(screw, 6, "screw")
-    x, y = s[:3], s[3:]
-    d = so3_dexp(x).tolist()
-    return _blocks66(d, so3_ddexp(x, y).tolist(), d)
+    x, y, phi = _split(screw, _angle)
+    lin, quad = 0.5 * _sinc_sq_half(phi), _dexp_quad(phi)
+    d = _hat_poly_rows(x, lin, quad)
+    low = _hat_poly_deriv_rows(x, y, lin, quad, _dexp_quad_rate(phi),
+                               _dexp_lin_rate(phi))
+    return _blocks66(d, low, d)
 
 
 def se3_dexp_inv(screw) -> np.ndarray:
     """Inverse differential of :func:`se3_exp` (block form); |x| < 2*pi."""
-    a, b, c, u, v, w = _as_vec(screw, 6, "screw").tolist()
-    # component form as in se3_exp, with
-    # hat(x) hat(y) + hat(y) hat(x) = x y^T + y x^T - 2 (x.y) I
-    aa, bb, cc = a * a, b * b, c * c
-    ab, ac, bc = a * b, a * c, b * c
-    au, bv, cw = a * u, b * v, c * w
-    phi = math.sqrt(aa + bb + cc)
+    x, y, phi = _split(screw, _angle)
     ensure_dexp_inv_domain(phi)
     quad = _dexpinv_quad(phi)
-    # (x.y) times the radial rate of quad
-    rate = _dexpinv_quad_rate(phi) * (au + bv + cw)
-    d0 = (1.0 - quad * (bb + cc), quad * ab + 0.5 * c, quad * ac - 0.5 * b)
-    d1 = (quad * ab - 0.5 * c, 1.0 - quad * (aa + cc), quad * bc + 0.5 * a)
-    d2 = (quad * ac + 0.5 * b, quad * bc - 0.5 * a, 1.0 - quad * (aa + bb))
-    s01, s02, s12 = a * v + b * u, a * w + c * u, b * w + c * v
-    low0 = (-2.0 * quad * (bv + cw) - rate * (bb + cc),
-            quad * s01 + rate * ab + 0.5 * w,
-            quad * s02 + rate * ac - 0.5 * v)
-    low1 = (quad * s01 + rate * ab - 0.5 * w,
-            -2.0 * quad * (au + cw) - rate * (aa + cc),
-            quad * s12 + rate * bc + 0.5 * u)
-    low2 = (quad * s02 + rate * ac + 0.5 * v,
-            quad * s12 + rate * bc - 0.5 * u,
-            -2.0 * quad * (au + bv) - rate * (aa + bb))
-    zero = (0.0, 0.0, 0.0)
-    return np.array((d0 + zero, d1 + zero, d2 + zero,
-                     low0 + d0, low1 + d1, low2 + d2))
+    d = _hat_poly_rows(x, -0.5, quad)
+    low = _hat_poly_deriv_rows(x, y, -0.5, quad, _dexpinv_quad_rate(phi))
+    return _blocks66(d, low, d)
 
 
 def se3_dexp_adform(screw) -> np.ndarray:
     """:func:`se3_dexp` as a quartic polynomial in the screw adjoint."""
-    s = _as_vec(screw, 6, "screw")
-    phi = float(np.linalg.norm(s[:3]))
+    x, y, phi = _split(screw, _angle)
     alpha = _sinc(phi)
     beta = _sinc_sq_half(phi)
     delta = _dexp_quad(phi)
@@ -200,7 +181,7 @@ def se3_dexp_adform(screw) -> np.ndarray:
     f2 = 0.5 * (5.0 * delta - 0.5 * beta)
     f3 = -0.5 * _dexp_lin_rate(phi)
     f4 = -0.5 * _dexp_quad_rate(phi)
-    ad = ad6(s)
+    ad = ad6(x + y)
     ad2 = ad @ ad
     return _EYE6 + f1 * ad + f2 * ad2 + f3 * (ad2 @ ad) + f4 * (ad2 @ ad2)
 
@@ -208,10 +189,9 @@ def se3_dexp_adform(screw) -> np.ndarray:
 def se3_dexp_inv_adform(screw) -> np.ndarray:
     """:func:`se3_dexp_inv` as a quartic polynomial in the screw adjoint
     (the cubic term vanishes identically); |x| < 2*pi."""
-    s = _as_vec(screw, 6, "screw")
-    phi = float(np.linalg.norm(s[:3]))
+    x, y, phi = _split(screw, _angle)
     ensure_dexp_inv_domain(phi)
-    ad = ad6(s)
+    ad = ad6(x + y)
     ad2 = ad @ ad
     return (_EYE6 - 0.5 * ad + _adform_quad(phi) * ad2
             + _adform_quart(phi) * (ad2 @ ad2))
@@ -220,22 +200,19 @@ def se3_dexp_inv_adform(screw) -> np.ndarray:
 def se3_ddexp(screw, dscrew) -> np.ndarray:
     """Directional derivative of :func:`se3_dexp` at ``screw`` along
     ``dscrew``; smooth through X = 0."""
-    s = _as_vec(screw, 6, "screw")
-    ds = _as_vec(dscrew, 6, "dscrew")
-    x, y = s[:3], s[3:]
-    u, v = ds[:3], ds[3:]
-    phi = float(np.linalg.norm(x))
+    x, y, phi = _split(screw, _angle)
+    u, v, _ = _split(dscrew, name="dscrew")
     hx, hy, hu, hv = hat3(x), hat3(y), hat3(u), hat3(v)
     hx2 = hx @ hx
-    x_y, x_u = float(x @ y), float(x @ u)
-    mixed = float(y @ u) + float(x @ v)
+    x_y, x_u = _dot(x, y), _dot(x, u)
+    mixed = _dot(y, u) + _dot(x, v)
     half_beta = 0.5 * _sinc_sq_half(phi)
     delta = _dexp_quad(phi)
     lin_rate = _dexp_lin_rate(phi)
     quad_rate = _dexp_quad_rate(phi)
     lin_rate2 = _dexp_lin_rate2(phi)
     quad_rate2 = _dexp_quad_rate2(phi)
-    diag = so3_ddexp(x, u).tolist()
+    diag = _hat_poly_deriv_rows(x, u, half_beta, delta, quad_rate, lin_rate)
     low = (half_beta * hv
            + delta * (hx @ hv + hv @ hx + hu @ hy + hy @ hu)
            + lin_rate * (x_y * hu + mixed * hx)
@@ -248,20 +225,17 @@ def se3_ddexp(screw, dscrew) -> np.ndarray:
 
 def se3_ddexp_inv(screw, dscrew) -> np.ndarray:
     """Directional derivative of :func:`se3_dexp_inv`; |x| < 2*pi."""
-    s = _as_vec(screw, 6, "screw")
-    ds = _as_vec(dscrew, 6, "dscrew")
-    x, y = s[:3], s[3:]
-    u, v = ds[:3], ds[3:]
-    phi = math.sqrt(float(x @ x))
+    x, y, phi = _split(screw, _angle)
+    u, v, _ = _split(dscrew, name="dscrew")
     ensure_dexp_inv_domain(phi)
     hx, hy, hu, hv = hat3(x), hat3(y), hat3(u), hat3(v)
     hx2 = hx @ hx
-    x_y, x_u = float(x @ y), float(x @ u)
-    mixed = float(x @ v) + float(y @ u)
+    x_y, x_u = _dot(x, y), _dot(x, u)
+    mixed = _dot(x, v) + _dot(y, u)
     inv_quad = _dexpinv_quad(phi)
     inv_quad_rate = _dexpinv_quad_rate(phi)
     inv_quad_rate2 = _dexpinv_quad_rate2(phi)
-    diag = so3_ddexp_inv(x, u).tolist()
+    diag = _hat_poly_deriv_rows(x, u, -0.5, inv_quad, inv_quad_rate)
     low = (-0.5 * hv
            + inv_quad * (hx @ hv + hv @ hx + hu @ hy + hy @ hu)
            + inv_quad_rate * (mixed * hx2 + x_y * (hx @ hu + hu @ hx))
@@ -276,13 +250,11 @@ def se3_ddexp_inv_tangent(screw, twist) -> np.ndarray:
     One-pass assembly of the curvature block an implicit integrator needs
     when differentiating ``se3_dexp_inv(X) @ V`` in X; |x| < 2*pi.
     """
-    s = _as_vec(screw, 6, "screw").tolist()
-    v6 = _as_vec(twist, 6, "twist").tolist()
-    x, y, wa, wl = s[:3], s[3:], v6[:3], v6[3:]
+    x, y, phi = _split(screw, _angle)
+    wa, wl, _ = _split(twist, name="twist")
+    ensure_dexp_inv_domain(phi)
     # component form on floats, from hat(a) hat(b) = b a^T - (a.b) I
     phi_sq = _dot(x, x)
-    phi = math.sqrt(phi_sq)
-    ensure_dexp_inv_domain(phi)
     quad = _dexpinv_quad(phi)
     rate = _dexpinv_quad_rate(phi)
     rate2 = _dexpinv_quad_rate2(phi)
@@ -314,10 +286,8 @@ def se3_ddexp_inv_tangent(screw, twist) -> np.ndarray:
 
 def se3_ddcay_inv_tangent(screw, twist) -> np.ndarray:
     """Matrix whose j-th column is ``se3_ddcay_inv(screw, basis_j) @ twist``."""
-    s = _as_vec(screw, 6, "screw").tolist()
-    v6 = _as_vec(twist, 6, "twist").tolist()
-    x, y, wa, wl = s[:3], s[3:], v6[:3], v6[3:]
-    _sigma(x)       # the chart check; the tangent needs no sigma
+    x, y, _ = _split(screw, _sigma)     # the tangent needs no sigma
+    wa, wl, _ = _split(twist, name="twist")
     # component form on floats, from hat(x) hat(wa) = wa x^T - (x.wa) I:
     # tl = wa x^T + (hat(wa) - hat(x × wa) - hat(x) hat(wa)) / 2,
     # low = hat(wl - y × wa) / 2 and br = (hat(wa) - hat(x) hat(wa)) / 2
@@ -341,10 +311,8 @@ def se3_cay(screw) -> np.ndarray:
     Rotation block from the Gibbs vector x; translation (I + R) @ y.
     Identical to the 4x4 resolvent (I - hat(X))^{-1} (I + hat(X)).
     """
-    s = _as_vec(screw, 6, "screw").tolist()
-    x, y = s[:3], s[3:]
-    rows = _cay_rows(x, _sigma(x))
-    _finite_translation(y)
+    x, y, sig = _split(screw, _sigma)
+    rows = _cay_rows(x, sig)
     return np.array([row + [yi + _dot(row, y)] for row, yi in zip(rows, y)]
                     + [[0.0, 0.0, 0.0, 1.0]])
 
@@ -367,9 +335,7 @@ def se3_dcay(screw) -> np.ndarray:
     The rotation diagonal is s*(I + hat(x)); the translation diagonal is
     I + R; the value at X = 0 is 2*I.
     """
-    s = _as_vec(screw, 6, "screw").tolist()
-    x, y = s[:3], s[3:]
-    sig = _sigma(x)
+    x, y, sig = _split(screw, _sigma)
     sx = [sig * xi for xi in x]
     # hat(y) s (I + hat(x)) = s (hat(y) + x y^T - (x.y) I); I + R has the
     # exact diagonal 2 - s (x_j^2 + x_k^2)
@@ -381,8 +347,7 @@ def se3_dcay(screw) -> np.ndarray:
 def se3_dcay_inv(screw) -> np.ndarray:
     """Inverse of :func:`se3_dcay`; value I/2 at X = 0.  Defined for every
     screw (the Cayley differential never degenerates)."""
-    s = _as_vec(screw, 6, "screw").tolist()
-    x, y = s[:3], s[3:]
+    x, y, _ = _split(screw, _sigma)
     half_y = [0.5 * yi for yi in y]
     # (hat(x) - I) hat(y) / 2 = (y x^T - (x.y) I - hat(y)) / 2
     return _blocks66(_dcay_inv_rows(x),
@@ -393,13 +358,10 @@ def se3_dcay_inv(screw) -> np.ndarray:
 
 def se3_ddcay(screw, dscrew) -> np.ndarray:
     """Directional derivative of :func:`se3_dcay` along ``dscrew``."""
-    s = _as_vec(screw, 6, "screw")
-    ds = _as_vec(dscrew, 6, "dscrew")
-    x, y = s[:3], s[3:]
-    u, v = ds[:3], ds[3:]
-    sig = sigma(x)
+    x, y, sig = _split(screw, _sigma)
+    u, v, _ = _split(dscrew, name="dscrew")
     sig_sq = sig * sig
-    x_u = float(x @ u)
+    x_u = _dot(x, u)
     hx, hy, hu, hv = hat3(x), hat3(y), hat3(u), hat3(v)
     tl = so3_ddcay(x, u)
     bl = (sig * (hv + hv @ hx + hy @ hu)
@@ -411,10 +373,8 @@ def se3_ddcay(screw, dscrew) -> np.ndarray:
 
 def se3_ddcay_inv(screw, dscrew) -> np.ndarray:
     """Directional derivative of :func:`se3_dcay_inv` along ``dscrew``."""
-    s = _as_vec(screw, 6, "screw")
-    ds = _as_vec(dscrew, 6, "dscrew")
-    x, y = s[:3], s[3:]
-    u, v = ds[:3], ds[3:]
+    x, y, _ = _split(screw, _sigma)
+    u, v, _ = _split(dscrew, name="dscrew")
     hx, hy, hu, hv = hat3(x), hat3(y), hat3(u), hat3(v)
     tl = so3_ddcay_inv(x, u)
     bl = 0.5 * (hx @ hv + hu @ hy - hv)
@@ -435,9 +395,8 @@ def adjoint_cay(screw) -> np.ndarray:
     2*hat(y).  Note this is NOT the frame transport of :func:`se3_cay`:
     see :func:`adjoint_vs_se3_cay_mismatch`.
     """
-    s = _as_vec(screw, 6, "screw")
-    x, y = s[:3], s[3:]
-    rot = so3_cay(x)
+    x, y, sig = _split(screw, _sigma)
+    rot = np.array(_cay_rows(x, sig))
     one_plus = _EYE3 + rot
     coupling = 0.5 * one_plus @ hat3(y) @ one_plus
     return _blocks66(rot.tolist(), coupling.tolist(), rot.tolist())

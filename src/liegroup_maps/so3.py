@@ -20,7 +20,8 @@ import math
 
 import numpy as np
 
-from .core import ChartDomainError, _as_vec, _dot, hat3, is_rotation, vee3
+from .core import (ChartDomainError, _as_vec, _dot, _mat3, hat3, is_rotation,
+                   vee3)
 from .scalars import (
     _dexp_lin_rate,
     _dexp_quad,
@@ -63,16 +64,65 @@ _CAY_TRACE_GUARD = 1e-6
 # ---------------------------------------------------------------------------
 
 
+def _angle(x) -> float:
+    """|x| of a rotation vector given as floats, the one place the exponential
+    chart takes the angle; ChartDomainError if |x|**2 is not finite."""
+    phi_sq = _dot(x, x)
+    if not math.isfinite(phi_sq):
+        raise ChartDomainError(
+            f"rotation angle must be finite, got |x|**2 = {phi_sq}: a "
+            f"component is not finite or |x|**2 overflows")
+    return math.sqrt(phi_sq)
+
+
+def _rotvec(rotvec):
+    """A rotation vector as floats, and its angle."""
+    x = _as_vec(rotvec, 3, "rotvec").tolist()
+    return x, _angle(x)
+
+
+def _hat_poly_rows(x, lin: float, quad: float) -> list:
+    """Rows of I + lin*hat(x) + quad*hat(x)**2 on floats, hat(x)**2 being
+    x x^T - |x|**2 I with the x_i**2 that cancels left out of its diagonal."""
+    a, b, c = x
+    aa, bb, cc = a * a, b * b, c * c
+    ab, ac, bc = a * b, a * c, b * c
+    return [[1.0 - quad * (bb + cc), quad * ab - lin * c, quad * ac + lin * b],
+            [quad * ab + lin * c, 1.0 - quad * (aa + cc), quad * bc - lin * a],
+            [quad * ac - lin * b, quad * bc + lin * a, 1.0 - quad * (aa + bb)]]
+
+
+def _hat_poly_deriv_rows(x, y, lin: float, quad: float, quad_rate: float,
+                         lin_rate: float | None = None) -> list:
+    """Rows of the derivative of :func:`_hat_poly_rows` along y on floats,
+    lin*hat(y) + quad*(x y^T + y x^T - 2 (x.y) I) + (x.y)*(lin_rate*hat(x)
+    + quad_rate*hat(x)**2), the rates being (1/phi) d/dphi of lin and quad."""
+    a, b, c = x
+    u, v, w = y
+    au, bv, cw = a * u, b * v, c * w
+    x_y = au + bv + cw
+    p, q, r = lin * u, lin * v, lin * w     # the skew part, hat((p, q, r))
+    if lin_rate is not None:    # None: a constant lin, no hat(x) term at all
+        lin_rate *= x_y
+        p, q, r = p + lin_rate * a, q + lin_rate * b, r + lin_rate * c
+    rate = quad_rate * x_y
+    s01 = quad * (a * v + b * u) + rate * (a * b)
+    s02 = quad * (a * w + c * u) + rate * (a * c)
+    s12 = quad * (b * w + c * v) + rate * (b * c)
+    d = -2.0 * quad
+    return [[d * (bv + cw) - rate * (b * b + c * c), s01 - r, s02 + q],
+            [s01 + r, d * (au + cw) - rate * (a * a + c * c), s12 - p],
+            [s02 - q, s12 + p, d * (au + bv) - rate * (a * a + b * b)]]
+
+
 def so3_exp(rotvec) -> np.ndarray:
     """Rotation matrix of a rotation vector.
 
     R = I + a*hat(x) + (b/2)*hat(x)**2 with a = sinc(phi), b the squared
     half-angle sinc, phi = |x|.
     """
-    x = _as_vec(rotvec, 3, "rotvec")
-    phi = math.sqrt(float(x @ x))
-    hx = hat3(x)
-    return _EYE3 + _sinc(phi) * hx + 0.5 * _sinc_sq_half(phi) * (hx @ hx)
+    x, phi = _rotvec(rotvec)
+    return np.array(_hat_poly_rows(x, _sinc(phi), 0.5 * _sinc_sq_half(phi)))
 
 
 def so3_log(rot) -> np.ndarray:
@@ -118,10 +168,9 @@ def so3_dexp(rotvec) -> np.ndarray:
     D = I + (b/2)*hat(x) + d*hat(x)**2; maps rotation-vector velocities to
     body angular velocities.
     """
-    x = _as_vec(rotvec, 3, "rotvec")
-    phi = math.sqrt(float(x @ x))
-    hx = hat3(x)
-    return _EYE3 + 0.5 * _sinc_sq_half(phi) * hx + _dexp_quad(phi) * (hx @ hx)
+    x, phi = _rotvec(rotvec)
+    return np.array(_hat_poly_rows(x, 0.5 * _sinc_sq_half(phi),
+                                   _dexp_quad(phi)))
 
 
 def so3_dexp_inv(rotvec) -> np.ndarray:
@@ -130,38 +179,28 @@ def so3_dexp_inv(rotvec) -> np.ndarray:
     D^{-1} = I - hat(x)/2 + c*hat(x)**2 with c the quadratic inverse
     coefficient (limit 1/12).
     """
-    x = _as_vec(rotvec, 3, "rotvec")
-    phi = math.sqrt(float(x @ x))
+    x, phi = _rotvec(rotvec)
     ensure_dexp_inv_domain(phi)
-    hx = hat3(x)
-    return _EYE3 - 0.5 * hx + _dexpinv_quad(phi) * (hx @ hx)
+    return np.array(_hat_poly_rows(x, -0.5, _dexpinv_quad(phi)))
 
 
 def so3_ddexp(rotvec, direction) -> np.ndarray:
     """Directional derivative of :func:`so3_dexp` at ``rotvec`` along
     ``direction``; smooth through x = 0."""
-    x = _as_vec(rotvec, 3, "rotvec")
-    u = _as_vec(direction, 3, "direction")
-    phi = math.sqrt(float(x @ x))
-    hx, hu = hat3(x), hat3(u)
-    x_dot_u = float(x @ u)
-    return (0.5 * _sinc_sq_half(phi) * hu
-            + _dexp_quad(phi) * (hx @ hu + hu @ hx)
-            + x_dot_u * (_dexp_lin_rate(phi) * hx
-                         + _dexp_quad_rate(phi) * (hx @ hx)))
+    x, phi = _rotvec(rotvec)
+    u = _as_vec(direction, 3, "direction").tolist()
+    return np.array(_hat_poly_deriv_rows(
+        x, u, 0.5 * _sinc_sq_half(phi), _dexp_quad(phi), _dexp_quad_rate(phi),
+        _dexp_lin_rate(phi)))
 
 
 def so3_ddexp_inv(rotvec, direction) -> np.ndarray:
     """Directional derivative of :func:`so3_dexp_inv`; requires |x| < 2*pi."""
-    x = _as_vec(rotvec, 3, "rotvec")
-    u = _as_vec(direction, 3, "direction")
-    phi = math.sqrt(float(x @ x))
+    x, phi = _rotvec(rotvec)
+    u = _as_vec(direction, 3, "direction").tolist()
     ensure_dexp_inv_domain(phi)
-    hx, hu = hat3(x), hat3(u)
-    x_dot_u = float(x @ u)
-    return (-0.5 * hu
-            + _dexpinv_quad(phi) * (hx @ hu + hu @ hx)
-            + _dexpinv_quad_rate(phi) * x_dot_u * (hx @ hx))
+    return np.array(_hat_poly_deriv_rows(x, u, -0.5, _dexpinv_quad(phi),
+                                         _dexpinv_quad_rate(phi)))
 
 
 def _rotation_lemma_routes(rotvec) -> dict[str, np.ndarray]:
@@ -260,8 +299,9 @@ def so3_dcay(gibbs) -> np.ndarray:
 
     dcay = s*(I + hat(g)); equals 2*I at g = 0.
     """
-    g = _as_vec(gibbs, 3, "gibbs")
-    return sigma(g) * (_EYE3 + hat3(g))
+    g = _as_vec(gibbs, 3, "gibbs").tolist()
+    sig = _sigma(g)
+    return np.array(_mat3([sig * gi for gi in g], sig))
 
 
 def so3_dcay_inv(gibbs) -> np.ndarray:

@@ -89,8 +89,7 @@ def test_eval_domain_violation_exits_2(capsys):
 
 @pytest.mark.parametrize("x", ["nan,0,0", "1e200,0,0"])
 def test_eval_non_finite_angle_exits_2(capsys, x):
-    with np.errstate(over="ignore"):
-        code, out, err = _run(capsys, ["eval", "exp_so3", "--x", x])
+    code, out, err = _run(capsys, ["eval", "exp_so3", "--x", x])
     assert code == 2
     assert out == ""
     assert err.startswith("domain error:") and "must be finite" in err
@@ -418,13 +417,18 @@ def test_module_entry_point_subprocess():
     ["cay_so3", "--x", "1e200,0,0"],
     ["dcayinv_so3", "--x", "1e200,1e200,0"],
     ["cay_se3", "--x", "1e200,0,0,0,0,0"],
+    ["exp_so3", "--x", "1e200,0,0"],
 ])
 def test_overflowing_gibbs_vector_prints_only_the_domain_error(argv):
-    # |g|**2 overflows on floats, so the child's stderr holds the one
-    # domain-error line and no NumPy RuntimeWarning
+    # |g|**2 (and on the exponential chart |x|**2) overflows on floats, so
+    # the child's stderr holds the one domain-error line and no NumPy
+    # RuntimeWarning
     out = _run_child(["eval", *argv], check=False)
     assert out.returncode == 2
     assert out.stdout == ""
-    assert out.stderr == ("domain error: Cayley chart needs a finite |g|**2, "
-                          "got inf: a component is not finite or |g|**2 "
-                          "overflows\n")
+    exp_chart = argv[0] == "exp_so3"
+    square = "|x|**2" if exp_chart else "|g|**2"
+    got = ("rotation angle must be finite, got |x|**2 = inf" if exp_chart
+           else "Cayley chart needs a finite |g|**2, got inf")
+    assert out.stderr == (f"domain error: {got}: a component is not finite "
+                          f"or {square} overflows\n")

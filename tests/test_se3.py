@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from liegroup_maps.core import Ad6, ChartDomainError, ad6, hat3, hat6
@@ -35,7 +37,23 @@ from liegroup_maps.se3 import (
     se3_exp,
     se3_log,
 )
-from liegroup_maps.so3 import so3_cay
+from liegroup_maps.scalars import (
+    DEXPINV_DOMAIN_LIMIT,
+    SERIES_WINDOW,
+    SMALL_ANGLE_THRESHOLD,
+)
+from liegroup_maps.so3 import (
+    so3_cay,
+    so3_dcay,
+    so3_dcay_inv,
+    so3_ddcay,
+    so3_ddcay_inv,
+    so3_ddexp,
+    so3_ddexp_inv,
+    so3_dexp,
+    so3_dexp_inv,
+    so3_exp,
+)
 
 RNG = np.random.default_rng(42)
 
@@ -133,17 +151,33 @@ def test_cayley_derivatives_reject_non_finite_gibbs_square(gibbs):
             op(bad, np.ones(6))
 
 
+_DIRECTIONAL = (se3_ddexp, se3_ddexp_inv, se3_ddcay, se3_ddcay_inv,
+                se3_ddexp_inv_tangent, se3_ddcay_inv_tangent)
+
+
 @pytest.mark.parametrize("bad", [math.nan, math.inf])
-@pytest.mark.parametrize("op", [se3_exp, se3_cay, se3_log, se3_cay_inv])
+@pytest.mark.parametrize("op", [
+    se3_exp, se3_cay, se3_log, se3_cay_inv, se3_dexp, se3_dexp_inv, se3_dcay,
+    se3_dcay_inv, se3_dexp_adform, se3_dexp_inv_adform, adjoint_cay,
+    *_DIRECTIONAL])
 def test_non_finite_translation_raises_domain_error(op, bad):
-    # a screw for the maps, a pose for the inverses; the rotation is finite
-    if op in (se3_exp, se3_cay):
-        arg = np.array([0.3, -0.2, 0.1, 0.5, bad, -0.4])
+    # a pose for the inverses, a screw for the maps, and for the directional
+    # maps the bad translation in the screw and then in the direction; the
+    # rotation parts are finite
+    screw = np.array([0.3, -0.2, 0.1, 0.5, bad, -0.4])
+    good = np.array([0.2, 0.1, -0.3, 0.4, 0.6, -0.1])
+    if op in (se3_log, se3_cay_inv):
+        pose = np.eye(4)
+        pose[1, 3] = bad
+        calls = [(pose,)]
+    elif op in _DIRECTIONAL:
+        calls = [(screw, good), (good, screw)]
     else:
-        arg = np.eye(4)
-        arg[1, 3] = bad
-    with pytest.raises(ChartDomainError, match="translation must be finite"):
-        op(arg)
+        calls = [(screw,)]
+    for args in calls:
+        with pytest.raises(ChartDomainError,
+                           match="translation must be finite"):
+            op(*args)
 
 
 @pytest.mark.parametrize("op", [se3_exp, se3_cay])
@@ -280,15 +314,58 @@ def test_cay_matches_resolvent():
         assert_allclose(se3_cay(s), resolvent_cay(hat6(s)), atol=1e-12)
 
 
-def test_cay_rotation_block_is_so3_cay_bit_for_bit():
-    # one rotation formula: the screw map's rotation block is the rotation
-    # map itself, across small, unit and large Gibbs vectors
-    rng = np.random.default_rng(5)
-    for scale in (1e-8, 1.0, 1e3):
-        for _ in range(100):
-            g = scale * rng.uniform(0.5, 2.0) * rng.standard_normal(3)
-            pose = se3_cay(np.concatenate([g, rng.standard_normal(3)]))
-            assert np.array_equal(pose[:3, :3], so3_cay(g))
+# Rotation angles over the whole chart: zero, tiny, both sides of the
+# series/closed seam and of the quotient kernels' series window, a half turn
+# and just short of the inverse maps' 2*pi limit
+_CHART_ANGLES = [0.0, 1e-8, SMALL_ANGLE_THRESHOLD * (1.0 - 1e-9),
+                 SMALL_ANGLE_THRESHOLD * (1.0 + 1e-9),
+                 SERIES_WINDOW * (1.0 - 1e-9), SERIES_WINDOW * (1.0 + 1e-9),
+                 math.pi, DEXPINV_DOMAIN_LIMIT * (1.0 - 1e-12)]
+_UNIT = st.tuples(*[st.floats(-1.0, 1.0)] * 3).filter(
+    lambda v: math.hypot(*v) > 0.1).map(
+    lambda v: [vi / math.hypot(*v) for vi in v])
+_VEC3 = st.lists(st.floats(-3.0, 3.0), min_size=3, max_size=3)
+_TL, _BR, _BL = np.s_[:3, :3], np.s_[3:, 3:], np.s_[3:, :3]
+# (rotation map, its direction: none, the screw's translation y or the
+# screw direction's angular part u, screw map, block); a Cayley parameter is
+# the Gibbs vector tan(angle/2) * axis.  The Cayley bottom-right blocks,
+# I + R and (I - hat(x))/2, are no rotation map.
+_BLOCK_PAIRS = [
+    (so3_exp, None, se3_exp, _TL),
+    (so3_dexp, None, se3_dexp, _TL),
+    (so3_dexp, None, se3_dexp, _BR),
+    (so3_dexp_inv, None, se3_dexp_inv, _TL),
+    (so3_dexp_inv, None, se3_dexp_inv, _BR),
+    (so3_ddexp, "y", se3_dexp, _BL),
+    (so3_ddexp_inv, "y", se3_dexp_inv, _BL),
+    (so3_ddexp, "u", se3_ddexp, _TL),
+    (so3_ddexp, "u", se3_ddexp, _BR),
+    (so3_ddexp_inv, "u", se3_ddexp_inv, _TL),
+    (so3_ddexp_inv, "u", se3_ddexp_inv, _BR),
+    (so3_cay, None, se3_cay, _TL),
+    (so3_dcay, None, se3_dcay, _TL),
+    (so3_dcay_inv, None, se3_dcay_inv, _TL),
+    (so3_ddcay, "u", se3_ddcay, _TL),
+    (so3_ddcay_inv, "u", se3_ddcay_inv, _TL),
+]
+
+
+@settings(derandomize=True, deadline=None, database=None, max_examples=300)
+@given(angle=st.one_of(st.sampled_from(_CHART_ANGLES),
+                       st.floats(0.0, DEXPINV_DOMAIN_LIMIT * (1.0 - 1e-12))),
+       axis=_UNIT, y=_VEC3, u=_VEC3, v=_VEC3)
+def test_so3_maps_are_se3_blocks_bit_for_bit(angle, axis, y, u, v):
+    # one implementation per rotation formula: each screw-map block is the
+    # rotation map itself, to the last bit, on both charts
+    for so3_map, along, se3_map, block in _BLOCK_PAIRS:
+        cayley = "cay" in so3_map.__name__
+        scale = math.tan(0.5 * angle) if cayley else angle
+        x = [scale * ai for ai in axis]
+        rot = so3_map(x) if along is None else so3_map(
+            x, y if along == "y" else u)
+        screw = se3_map(x + y, u + v) if along == "u" else se3_map(x + y)
+        assert screw[block].tobytes() == rot.tobytes(), (
+            so3_map.__name__, se3_map.__name__, block)
 
 
 def test_cay_pure_translation_doubles():

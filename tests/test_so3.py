@@ -12,6 +12,7 @@ from liegroup_maps.oracle import (
     series_dexp_inv,
     series_exp,
 )
+from liegroup_maps.se3 import se3_dexp, se3_dexp_inv, se3_exp
 from liegroup_maps.so3 import (
     _rotation_lemma_routes,
     sigma,
@@ -155,12 +156,17 @@ def test_dexp_inv_domain_error():
 
 @pytest.mark.parametrize("rotvec", [[math.nan, 0.0, 0.0], [1e200, 0.0, 0.0]])
 def test_non_finite_angle_raises_domain_error(rotvec):
-    # NaN reaches the angle as NaN, and the norm of 1e200 overflows to inf
-    # (which so3_dexp_inv already rejects as outside its domain)
-    with np.errstate(over="ignore"):
-        for op in (so3_exp, so3_dexp, so3_dexp_inv):
-            with pytest.raises(ChartDomainError):
-                op(rotvec)
+    # a NaN reaches |x|**2 as NaN and 1e200 overflows it to inf; |x|**2 is
+    # summed on floats, so no NumPy RuntimeWarning (an error under pytest)
+    # comes before the domain error, in the rotation and the screw maps alike
+    direction = [0.1, -0.2, 0.3]
+    screw = rotvec + [0.5, -0.2, 0.1]
+    calls = [(so3_exp, rotvec), (so3_dexp, rotvec), (so3_dexp_inv, rotvec),
+             (so3_ddexp, rotvec, direction), (so3_ddexp_inv, rotvec, direction),
+             (se3_exp, screw), (se3_dexp, screw), (se3_dexp_inv, screw)]
+    for op, *args in calls:
+        with pytest.raises(ChartDomainError, match=r"\|x\|\*\*2 overflows"):
+            op(*args)
 
 
 def test_dexp_transpose_parity():
