@@ -59,11 +59,11 @@ def _as_mat(m, n: int, name: str) -> np.ndarray:
     return out
 
 
-def _finite_translation(y) -> None:
-    """ChartDomainError unless every entry of the float sequence ``y`` is
-    finite; entry by entry, so no sum can overflow."""
-    if not all(map(math.isfinite, y)):
-        raise ChartDomainError(f"translation must be finite, got {list(y)!r}")
+def _finite(values, name: str) -> None:
+    """ChartDomainError naming ``name`` unless every entry of the float
+    sequence ``values`` is finite; entry by entry, so no sum can overflow."""
+    if not all(map(math.isfinite, values)):
+        raise ChartDomainError(f"{name} must be finite, got {list(values)!r}")
 
 
 def _dot(a, b) -> float:

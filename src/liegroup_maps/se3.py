@@ -8,8 +8,7 @@ shapes: a polynomial in the 6x6 adjoint operator, and the cheaper default 2x2
 block form, built from the float rows of the :mod:`liegroup_maps.so3` maps:
 the rotation differential on the diagonal and its derivative along the
 translation below it (and the rotation block of ``se3_exp``).  The adjoint
-forms, the lower blocks of ``se3_ddexp``/``se3_ddexp_inv`` and
-``se3_ddexp_inv_tangent`` have implementations of their own.
+forms and ``se3_ddexp_inv_tangent`` have implementations of their own.
 
 The Cayley chart uses the unhalved scaling throughout (see
 :mod:`liegroup_maps.so3`): ``se3_dcay(0)`` is ``2*I`` on the rotation and
@@ -32,7 +31,7 @@ from .core import (
     _as_vec,
     _cross,
     _dot,
-    _finite_translation,
+    _finite,
     _mat3,
     ad6,
     hat3,
@@ -52,22 +51,10 @@ from .scalars import (
     _sinc_sq_half,
     ensure_dexp_inv_domain,
 )
-from .so3 import (
-    _angle,
-    _cay_rows,
-    _dcay_inv_rows,
-    _hat_poly_deriv_rows,
-    _hat_poly_rows,
-    _sigma,
-    sigma,
-    so3_cay,
-    so3_cay_inv,
-    so3_dcay,
-    so3_ddcay,
-    so3_ddcay_inv,
-    so3_dexp_inv,
-    so3_log,
-)
+from .so3 import (_angle, _cay_rows, _dcay_inv_rows, _ddcay_inv_rows,
+                  _ddcay_rows, _hat_poly_deriv2_rows, _hat_poly_deriv_rows,
+                  _hat_poly_rows, _sigma, sigma, so3_cay, so3_cay_inv,
+                  so3_dcay, so3_dexp_inv, so3_log)
 
 __all__ = [
     "se3_exp",
@@ -106,11 +93,12 @@ def _blocks66(tl, bl, br) -> np.ndarray:
 
 def _split(vec, chart=None, name: str = "screw"):
     """(x, y, chart(x)) of a 6-vector's angular and translation parts as
-    floats; the chart's check of x (if any) runs before the translation's."""
+    floats; x gets the chart's check, or without a chart (a direction or a
+    twist) a finite check, and that runs before the translation's."""
     a, b, c, u, v, w = _as_vec(vec, 6, name).tolist()
     x, y = [a, b, c], [u, v, w]
-    checked = None if chart is None else chart(x)
-    _finite_translation(y)
+    checked = chart(x) if chart else _finite(x, f"angular part of {name}")
+    _finite(y, "translation")
     return x, y, checked
 
 
@@ -142,7 +130,7 @@ def se3_log(pose) -> np.ndarray:
     if pose.shape != (4, 4):
         raise ValueError(f"pose must be 4x4, got shape {pose.shape}")
     x = so3_log(pose[:3, :3])
-    _finite_translation(pose[:3, 3].tolist())
+    _finite(pose[:3, 3].tolist(), "translation")
     y = so3_dexp_inv(x) @ pose[:3, 3]
     return np.concatenate([x, y])
 
@@ -202,25 +190,12 @@ def se3_ddexp(screw, dscrew) -> np.ndarray:
     ``dscrew``; smooth through X = 0."""
     x, y, phi = _split(screw, _angle)
     u, v, _ = _split(dscrew, name="dscrew")
-    hx, hy, hu, hv = hat3(x), hat3(y), hat3(u), hat3(v)
-    hx2 = hx @ hx
-    x_y, x_u = _dot(x, y), _dot(x, u)
-    mixed = _dot(y, u) + _dot(x, v)
-    half_beta = 0.5 * _sinc_sq_half(phi)
-    delta = _dexp_quad(phi)
-    lin_rate = _dexp_lin_rate(phi)
-    quad_rate = _dexp_quad_rate(phi)
-    lin_rate2 = _dexp_lin_rate2(phi)
-    quad_rate2 = _dexp_quad_rate2(phi)
-    diag = _hat_poly_deriv_rows(x, u, half_beta, delta, quad_rate, lin_rate)
-    low = (half_beta * hv
-           + delta * (hx @ hv + hv @ hx + hu @ hy + hy @ hu)
-           + lin_rate * (x_y * hu + mixed * hx)
-           + quad_rate * (mixed * hx2 + x_y * (hx @ hu + hu @ hx))
-           + x_u * (lin_rate * hy
-                    + quad_rate * (hx @ hy + hy @ hx)
-                    + x_y * (lin_rate2 * hx + quad_rate2 * hx2)))
-    return _blocks66(diag, low.tolist(), diag)
+    lin, quad = 0.5 * _sinc_sq_half(phi), _dexp_quad(phi)
+    lin_rate, quad_rate = _dexp_lin_rate(phi), _dexp_quad_rate(phi)
+    diag = _hat_poly_deriv_rows(x, u, lin, quad, quad_rate, lin_rate)
+    low = _hat_poly_deriv2_rows(x, y, u, v, lin, quad, lin_rate, quad_rate,
+                                _dexp_lin_rate2(phi), _dexp_quad_rate2(phi))
+    return _blocks66(diag, low, diag)
 
 
 def se3_ddexp_inv(screw, dscrew) -> np.ndarray:
@@ -228,20 +203,12 @@ def se3_ddexp_inv(screw, dscrew) -> np.ndarray:
     x, y, phi = _split(screw, _angle)
     u, v, _ = _split(dscrew, name="dscrew")
     ensure_dexp_inv_domain(phi)
-    hx, hy, hu, hv = hat3(x), hat3(y), hat3(u), hat3(v)
-    hx2 = hx @ hx
-    x_y, x_u = _dot(x, y), _dot(x, u)
-    mixed = _dot(x, v) + _dot(y, u)
-    inv_quad = _dexpinv_quad(phi)
-    inv_quad_rate = _dexpinv_quad_rate(phi)
-    inv_quad_rate2 = _dexpinv_quad_rate2(phi)
-    diag = _hat_poly_deriv_rows(x, u, -0.5, inv_quad, inv_quad_rate)
-    low = (-0.5 * hv
-           + inv_quad * (hx @ hv + hv @ hx + hu @ hy + hy @ hu)
-           + inv_quad_rate * (mixed * hx2 + x_y * (hx @ hu + hu @ hx))
-           + x_u * (inv_quad_rate * (hx @ hy + hy @ hx)
-                    + x_y * inv_quad_rate2 * hx2))
-    return _blocks66(diag, low.tolist(), diag)
+    quad, quad_rate = _dexpinv_quad(phi), _dexpinv_quad_rate(phi)
+    diag = _hat_poly_deriv_rows(x, u, -0.5, quad, quad_rate)
+    # the linear coefficient -1/2 is constant: both of its rates are 0
+    low = _hat_poly_deriv2_rows(x, y, u, v, -0.5, quad, 0.0, quad_rate, 0.0,
+                                _dexpinv_quad_rate2(phi))
+    return _blocks66(diag, low, diag)
 
 
 def se3_ddexp_inv_tangent(screw, twist) -> np.ndarray:
@@ -324,7 +291,7 @@ def se3_cay_inv(pose) -> np.ndarray:
         raise ValueError(f"pose must be 4x4, got shape {pose.shape}")
     rot = pose[:3, :3]
     x = so3_cay_inv(rot)
-    _finite_translation(pose[:3, 3].tolist())
+    _finite(pose[:3, 3].tolist(), "translation")
     y = np.linalg.solve(_EYE3 + rot, pose[:3, 3])
     return np.concatenate([x, y])
 
@@ -360,26 +327,28 @@ def se3_ddcay(screw, dscrew) -> np.ndarray:
     """Directional derivative of :func:`se3_dcay` along ``dscrew``."""
     x, y, sig = _split(screw, _sigma)
     u, v, _ = _split(dscrew, name="dscrew")
-    sig_sq = sig * sig
-    x_u = _dot(x, u)
-    hx, hy, hu, hv = hat3(x), hat3(y), hat3(u), hat3(v)
-    tl = so3_ddcay(x, u)
-    bl = (sig * (hv + hv @ hx + hy @ hu)
-          - sig_sq * x_u * (hy + hy @ hx))
-    br = (sig * (hu + hx @ hu + hu @ hx)
-          - sig_sq * x_u * (hx + hx @ hx))
-    return _blocks66(tl.tolist(), bl.tolist(), br.tolist())
+    t = sig * sig * _dot(x, u)      # -D_u sigma
+    su = [sig * ui for ui in u]
+    p = [sig * vi - t * yi for vi, yi in zip(v, y)]
+    # hat(v) dcay(x) + hat(y) ddcay(x, u) by hat(a) hat(b) = b a^T - (a.b) I
+    bl = _mat3(p, t * _dot(x, y) - sig * (_dot(x, v) + _dot(y, u)),
+               (x, p), (su, y))
+    # D_u(I + R) = ddcay(x, u) + D_u(s x x^T), as I + R = dcay(x) + s x x^T
+    br = _ddcay_rows(x, u, sig, (su, x),
+                     (x, [si - t * xi for si, xi in zip(su, x)]))
+    return _blocks66(_ddcay_rows(x, u, sig), bl, br)
 
 
 def se3_ddcay_inv(screw, dscrew) -> np.ndarray:
     """Directional derivative of :func:`se3_dcay_inv` along ``dscrew``."""
-    x, y, _ = _split(screw, _sigma)
+    x, y, _ = _split(screw, _sigma)     # the map needs no sigma
     u, v, _ = _split(dscrew, name="dscrew")
-    hx, hy, hu, hv = hat3(x), hat3(y), hat3(u), hat3(v)
-    tl = so3_ddcay_inv(x, u)
-    bl = 0.5 * (hx @ hv + hu @ hy - hv)
-    br = -0.5 * hu
-    return _blocks66(tl.tolist(), bl.tolist(), br.tolist())
+    half_v = [0.5 * vi for vi in v]
+    # (hat(x) hat(v) + hat(u) hat(y) - hat(v))/2 by the rule of se3_ddcay
+    bl = _mat3([-hi for hi in half_v], -0.5 * (_dot(x, v) + _dot(y, u)),
+               (half_v, x), ([0.5 * yi for yi in y], u))
+    return _blocks66(_ddcay_inv_rows(x, u), bl,
+                     _mat3([-0.5 * ui for ui in u], 0.0))
 
 
 # ---------------------------------------------------------------------------
@@ -396,10 +365,11 @@ def adjoint_cay(screw) -> np.ndarray:
     see :func:`adjoint_vs_se3_cay_mismatch`.
     """
     x, y, sig = _split(screw, _sigma)
-    rot = np.array(_cay_rows(x, sig))
-    one_plus = _EYE3 + rot
-    coupling = 0.5 * one_plus @ hat3(y) @ one_plus
-    return _blocks66(rot.tolist(), coupling.tolist(), rot.tolist())
+    rot = _cay_rows(x, sig)
+    # the coupling is hat(w) R with w = dcay(x) y: column j is w × R e_j
+    w = [sig * (yi + ci) for yi, ci in zip(y, _cross(x, y))]
+    cols = [_cross(w, col) for col in zip(*rot)]
+    return _blocks66(rot, list(zip(*cols)), rot)
 
 
 def adjoint_cay_A_forms(screw) -> dict[str, np.ndarray]:

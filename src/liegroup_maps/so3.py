@@ -20,8 +20,8 @@ import math
 
 import numpy as np
 
-from .core import (ChartDomainError, _as_vec, _dot, _mat3, hat3, is_rotation,
-                   vee3)
+from .core import (ChartDomainError, _as_vec, _dot, _finite, _mat3, hat3,
+                   is_rotation, vee3)
 from .scalars import (
     _dexp_lin_rate,
     _dexp_quad,
@@ -81,6 +81,13 @@ def _rotvec(rotvec):
     return x, _angle(x)
 
 
+def _direction(direction) -> list:
+    """A direction 3-vector as floats, every entry checked finite."""
+    u = _as_vec(direction, 3, "direction").tolist()
+    _finite(u, "direction")
+    return u
+
+
 def _hat_poly_rows(x, lin: float, quad: float) -> list:
     """Rows of I + lin*hat(x) + quad*hat(x)**2 on floats, hat(x)**2 being
     x x^T - |x|**2 I with the x_i**2 that cancels left out of its diagonal."""
@@ -113,6 +120,25 @@ def _hat_poly_deriv_rows(x, y, lin: float, quad: float, quad_rate: float,
     return [[d * (bv + cw) - rate * (b * b + c * c), s01 - r, s02 + q],
             [s01 + r, d * (au + cw) - rate * (a * a + c * c), s12 - p],
             [s02 - q, s12 + p, d * (au + bv) - rate * (a * a + b * b)]]
+
+
+def _hat_poly_deriv2_rows(x, y, u, v, lin, quad, lin_rate, quad_rate,
+                          lin_rate2, quad_rate2) -> list:
+    """Rows of D_v P(x) + D_u D_y P(x) on floats, P(x) the polynomial of
+    :func:`_hat_poly_rows`, the rates as in :func:`_hat_poly_deriv_rows` and
+    rate2 the (1/phi) d/dphi of rate; its symmetric products are the dyads
+    of hat(a) hat(b) + hat(b) hat(a) = a b^T + b a^T - 2 (a.b) I."""
+    x_y, x_u = _dot(x, y), _dot(x, u)
+    mixed = _dot(x, v) + _dot(y, u)
+    x_yu = x_y * x_u
+    sq = quad_rate * mixed + quad_rate2 * x_yu      # times hat(x)**2
+    skew = [lin * vi + lin_rate * (mixed * xi + x_u * yi + x_y * ui)
+            + lin_rate2 * x_yu * xi for xi, yi, ui, vi in zip(x, y, u, v)]
+    p = [quad * vi + quad_rate * (x_u * yi + x_y * ui) + 0.5 * sq * xi
+         for xi, yi, ui, vi in zip(x, y, u, v)]
+    qu = [quad * ui for ui in u]
+    diag = -2.0 * (quad * mixed + 2.0 * quad_rate * x_yu) - sq * _dot(x, x)
+    return _mat3(skew, diag, (x, p), (p, x), (qu, y), (y, qu))
 
 
 def so3_exp(rotvec) -> np.ndarray:
@@ -188,7 +214,7 @@ def so3_ddexp(rotvec, direction) -> np.ndarray:
     """Directional derivative of :func:`so3_dexp` at ``rotvec`` along
     ``direction``; smooth through x = 0."""
     x, phi = _rotvec(rotvec)
-    u = _as_vec(direction, 3, "direction").tolist()
+    u = _direction(direction)
     return np.array(_hat_poly_deriv_rows(
         x, u, 0.5 * _sinc_sq_half(phi), _dexp_quad(phi), _dexp_quad_rate(phi),
         _dexp_lin_rate(phi)))
@@ -197,7 +223,7 @@ def so3_ddexp(rotvec, direction) -> np.ndarray:
 def so3_ddexp_inv(rotvec, direction) -> np.ndarray:
     """Directional derivative of :func:`so3_dexp_inv`; requires |x| < 2*pi."""
     x, phi = _rotvec(rotvec)
-    u = _as_vec(direction, 3, "direction").tolist()
+    u = _direction(direction)
     ensure_dexp_inv_domain(phi)
     return np.array(_hat_poly_deriv_rows(x, u, -0.5, _dexpinv_quad(phi),
                                          _dexpinv_quad_rate(phi)))
@@ -260,11 +286,24 @@ def _cay_rows(g, s: float, diag: float = 1.0) -> list:
 def _dcay_inv_rows(g) -> list:
     """Rows of (I + g g^T - hat(g))/2 = (1/s) I + (hat(g)**2 - hat(g))/2 on
     floats, so the diagonal is the exact (1 + g_i**2)/2."""
-    _sigma(g)       # the chart check
     a, b, c = g
     return [[0.5 * (1.0 + a * a), 0.5 * (a * b + c), 0.5 * (a * c - b)],
             [0.5 * (a * b - c), 0.5 * (1.0 + b * b), 0.5 * (b * c + a)],
             [0.5 * (a * c + b), 0.5 * (b * c - a), 0.5 * (1.0 + c * c)]]
+
+
+def _ddcay_rows(g, w, s: float, *dyads) -> list:
+    """Rows of s*hat(w) - s**2 (g.w) (I + hat(g)), the derivative of
+    s*(I + hat(g)) along w, plus the (b, c) ``dyads`` b c^T, on floats."""
+    t = s * s * _dot(g, w)      # 0.0 - t: a +0.0 diagonal where g.w is 0
+    return _mat3([s * wi - t * gi for gi, wi in zip(g, w)], 0.0 - t, *dyads)
+
+
+def _ddcay_inv_rows(g, w) -> list:
+    """Rows of (w g^T + g w^T - hat(w))/2, the derivative of
+    :func:`_dcay_inv_rows` along w, on floats."""
+    half_w = [0.5 * wi for wi in w]
+    return _mat3([-hi for hi in half_w], 0.0, (half_w, g), (g, half_w))
 
 
 def so3_cay(gibbs) -> np.ndarray:
@@ -309,21 +348,20 @@ def so3_dcay_inv(gibbs) -> np.ndarray:
 
     (1/s)*I + (hat(g)**2 - hat(g))/2; equals I/2 at g = 0.
     """
-    return np.array(_dcay_inv_rows(_as_vec(gibbs, 3, "gibbs").tolist()))
+    g = _as_vec(gibbs, 3, "gibbs").tolist()
+    _sigma(g)       # the chart check
+    return np.array(_dcay_inv_rows(g))
 
 
 def so3_ddcay(gibbs, direction) -> np.ndarray:
     """Directional derivative of :func:`so3_dcay` along ``direction``."""
-    g = _as_vec(gibbs, 3, "gibbs")
-    w = _as_vec(direction, 3, "direction")
-    s = sigma(g)
-    return s * hat3(w) - s * s * float(g @ w) * (_EYE3 + hat3(g))
+    g = _as_vec(gibbs, 3, "gibbs").tolist()
+    s = _sigma(g)
+    return np.array(_ddcay_rows(g, _direction(direction), s))
 
 
 def so3_ddcay_inv(gibbs, direction) -> np.ndarray:
     """Directional derivative of :func:`so3_dcay_inv` along ``direction``."""
-    g = _as_vec(gibbs, 3, "gibbs")
-    w = _as_vec(direction, 3, "direction")
-    _sigma(g.tolist())      # the chart check
-    hg, hw = hat3(g), hat3(w)
-    return float(g @ w) * _EYE3 + 0.5 * (hg @ hw + hw @ hg - hw)
+    g = _as_vec(gibbs, 3, "gibbs").tolist()
+    _sigma(g)       # the chart check
+    return np.array(_ddcay_inv_rows(g, _direction(direction)))

@@ -97,8 +97,7 @@ def test_eval_non_finite_angle_exits_2(capsys, x):
 
 @pytest.mark.parametrize("x", ["nan,0,0", "1e200,0,0"])
 def test_eval_cayley_non_finite_gibbs_exits_2(capsys, x):
-    with np.errstate(over="ignore"):
-        code, out, err = _run(capsys, ["eval", "cay_so3", "--x", x])
+    code, out, err = _run(capsys, ["eval", "cay_so3", "--x", x])
     assert code == 2
     assert out == ""
     assert err.startswith("domain error:") and "|g|**2" in err
@@ -403,6 +402,17 @@ def _run_child(args, check=True):
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, paths))}
     return subprocess.run([sys.executable, "-m", "liegroup_maps", *args],
                           capture_output=True, text=True, check=check, env=env)
+
+
+def test_non_finite_direction_prints_only_the_domain_error():
+    # the direction is checked before any arithmetic, so the child's stderr
+    # holds the one domain-error line and no NumPy RuntimeWarning
+    out = _run_child(["eval", "ddcay_so3", "--x", "0.3,0.1,0.2",
+                      "--y", "inf,0,0"], check=False)
+    assert out.returncode == 2
+    assert out.stdout == ""
+    assert out.stderr == ("domain error: direction must be finite, got "
+                          "[inf, 0.0, 0.0]\n")
 
 
 def test_module_entry_point_subprocess():

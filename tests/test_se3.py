@@ -6,6 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
+from liegroup_maps import se3 as se3_module
+from liegroup_maps import so3 as so3_module
 from liegroup_maps.core import Ad6, ChartDomainError, ad6, hat3, hat6
 from liegroup_maps.oracle import (
     SeriesConfig,
@@ -180,6 +182,50 @@ def test_non_finite_translation_raises_domain_error(op, bad):
             op(*args)
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+@pytest.mark.parametrize("op", [so3_ddexp, so3_ddexp_inv, so3_ddcay,
+                                so3_ddcay_inv, *_DIRECTIONAL])
+def test_non_finite_angular_direction_raises_domain_error(op, bad):
+    # the whole direction is checked, its angular part too, and the error
+    # names the argument
+    if op.__name__.startswith("so3"):
+        name = "direction"
+        args = ([0.3, 0.1, 0.2], [bad, 0.0, 0.0])
+    else:
+        name = "twist" if op.__name__.endswith("tangent") else "dscrew"
+        args = ([0.3, 0.1, 0.2, 0.5, -0.4, 0.2],
+                [bad, 0.0, 0.0, 0.1, 0.2, 0.3])
+    with pytest.raises(ChartDomainError, match=f"{name} must be finite"):
+        op(*args)
+
+
+@pytest.mark.parametrize("op", [se3_cay, se3_dcay, se3_dcay_inv, adjoint_cay,
+                                se3_ddcay, se3_ddcay_inv,
+                                se3_ddcay_inv_tangent])
+def test_cayley_screw_maps_check_the_chart_once(monkeypatch, op):
+    # one _sigma per call, and no second parse through a public so3 map
+    checks, parses = [], []
+    real_sigma, real_as_vec = so3_module._sigma, so3_module._as_vec
+
+    def counting_sigma(g):
+        checks.append(g)
+        return real_sigma(g)
+
+    def counting_as_vec(*args):
+        parses.append(args)
+        return real_as_vec(*args)
+
+    for module in (so3_module, se3_module):
+        monkeypatch.setattr(module, "_sigma", counting_sigma)
+    monkeypatch.setattr(so3_module, "_as_vec", counting_as_vec)
+    args = [np.array([0.3, -0.2, 0.1, 0.5, 0.4, -0.4])]
+    if op in _DIRECTIONAL:
+        args.append(np.array([0.2, 0.1, -0.3, 0.4, 0.6, -0.1]))
+    op(*args)
+    assert len(checks) == 1
+    assert parses == []
+
+
 @pytest.mark.parametrize("op", [se3_exp, se3_cay])
 def test_huge_finite_translation_passes(op):
     # entries are checked one by one: a sum of these would overflow
@@ -347,6 +393,8 @@ _BLOCK_PAIRS = [
     (so3_dcay_inv, None, se3_dcay_inv, _TL),
     (so3_ddcay, "u", se3_ddcay, _TL),
     (so3_ddcay_inv, "u", se3_ddcay_inv, _TL),
+    (so3_cay, None, adjoint_cay, _TL),
+    (so3_cay, None, adjoint_cay, _BR),
 ]
 
 
@@ -366,6 +414,31 @@ def test_so3_maps_are_se3_blocks_bit_for_bit(angle, axis, y, u, v):
         screw = se3_map(x + y, u + v) if along == "u" else se3_map(x + y)
         assert screw[block].tobytes() == rot.tobytes(), (
             so3_map.__name__, se3_map.__name__, block)
+
+
+@settings(derandomize=True, deadline=None, database=None, max_examples=300)
+@given(angle=st.one_of(st.sampled_from(_CHART_ANGLES),
+                       st.floats(0.0, DEXPINV_DOMAIN_LIMIT * (1.0 - 1e-12))),
+       axis=_UNIT, y=_VEC3, u=_VEC3, v=_VEC3)
+def test_ddexp_lower_block_identities(angle, axis, y, u, v):
+    # the lower block of se3_ddexp/se3_ddexp_inv is D_v P(x) + D_u D_y P(x),
+    # P the rotation differential or its inverse; exact identities, so the
+    # only tolerance is roundoff relative to the block
+    x = [angle * ai for ai in axis]
+    zero = [0.0, 0.0, 0.0]
+    for se3_map, so3_map in ((se3_ddexp, so3_ddexp),
+                             (se3_ddexp_inv, so3_ddexp_inv)):
+        # along (0, v): only D_v P(x) is left, the rotation derivative
+        want = np.zeros((6, 6))
+        want[_BL] = so3_map(x, v)
+        got = se3_map(x + y, zero + v)
+        assert_allclose(got, want, rtol=0.0,
+                        atol=1e-14 * np.abs(want).max(), err_msg=str(se3_map))
+        # D_u D_y P(x) is symmetric in u and y
+        uy = se3_map(x + y, u + zero)[_BL]
+        yu = se3_map(x + u, y + zero)[_BL]
+        assert_allclose(uy, yu, rtol=0.0, atol=1e-14 * np.abs(yu).max(),
+                        err_msg=str(se3_map))
 
 
 def test_cay_pure_translation_doubles():
