@@ -13,6 +13,7 @@ arclength), and an implicit midpoint rule whose Newton iteration assembles
 the tangent matrix by the chain rule: the analytic directional derivative of
 ``dmap_inv``, the chart differential ``dmap`` at the half increment, and the
 field's own Jacobian (forward differences stand in for fields without one).
+Runs extrapolate Newton's start and carry the inverse matrix between steps.
 """
 
 from __future__ import annotations
@@ -154,13 +155,16 @@ class Problem:
 
 @dataclass(frozen=True)
 class StepResult:
-    """One accepted step: new pose, new auxiliary state, chart increment."""
+    """One accepted step: new pose, new auxiliary state, chart increment;
+    an implicit-midpoint step adds its Newton updates, the residual before
+    each and the inverse Newton matrix that served the last one, if any."""
 
     pose: np.ndarray
     aux: np.ndarray
     coords: np.ndarray
     iterations: int = 0
     residuals: tuple = ()
+    newton_inverse: np.ndarray | None = None
 
 
 @dataclass(frozen=True)
@@ -169,9 +173,9 @@ class Trajectory:
 
     ``newton_iterations`` holds one count per step: the Newton updates of an
     implicit-midpoint step, 0 for explicit and piecewise steps.  Each
-    implicit-midpoint step after the first starts Newton from the previous
-    step's solution, so its count is 0 when that start already meets the
-    tolerance.
+    implicit-midpoint step after the first starts Newton from an
+    extrapolation of the previous steps' solutions, so its count is 0 when
+    that start already meets the tolerance.
     """
 
     times: np.ndarray
@@ -237,6 +241,13 @@ def _step_count(h: float, t_end: float) -> int:
         raise ValueError(f"step count t_end/h overflows: t_end={t_end!r}, "
                          f"h={h!r}")
     return round(ratio)
+
+
+def _shaped(name: str, value, shape: tuple) -> np.ndarray:
+    out = np.array(value, dtype=float)
+    if out.shape != shape:
+        raise ValueError(f"{name} must have shape {shape}, got {out.shape}")
+    return out
 
 
 def _field_aux(field: TwistField, aux) -> np.ndarray:
@@ -354,28 +365,29 @@ def _midpoint_jacobian(cmap: CoordinateMap, field: TwistField, t: float,
 
 def implicit_midpoint_step(cmap: CoordinateMap, field: TwistField,
                            pose: np.ndarray, t: float, h: float, aux=None,
-                           newton_tol: float = 1e-12,
-                           max_iters: int = 20, guess=None) -> StepResult:
+                           newton_tol: float = 1e-12, max_iters: int = 20,
+                           guess=None, newton_inverse=None) -> StepResult:
     """Advance one implicit-midpoint step, solving the chart equation by Newton.
 
     The midpoint pose is reached through half the chart increment; the
     chart operator is evaluated at the full increment.  Newton starts from
     ``guess``, the chart increment stacked with the end-of-step auxiliary
     state (a zero increment and ``aux`` if None); a start that already meets
-    ``newton_tol`` takes no update.  Raises ValueError for a guess not of
-    shape ``(6 + aux.size,)``, and NewtonConvergenceError as soon as the
-    residual is non-finite, or when it fails to drop below ``newton_tol``
-    within ``max_iters`` updates.
+    ``newton_tol`` takes no update.  A given ``newton_inverse`` serves the
+    first update (a stale one can cost an extra update); every other
+    update inverts the Newton matrix assembled at its iterate.  Raises
+    ValueError for a guess not of shape ``(n,)``, ``n = 6 + aux.size``, or
+    an inverse not of shape ``(n, n)``, and NewtonConvergenceError as soon
+    as the residual is non-finite, or when it fails to drop below
+    ``newton_tol`` within ``max_iters`` updates.
     """
     _require_finite_positive("step size", h)
     aux = _field_aux(field, aux)
-    if guess is None:
-        state = np.concatenate([np.zeros(6), aux])
-    else:
-        state = np.array(guess, dtype=float)
-        if state.shape != (6 + aux.size,):
-            raise ValueError(f"guess must have shape {(6 + aux.size,)}, got "
-                             f"{state.shape}")
+    size = 6 + aux.size
+    state = (np.concatenate([np.zeros(6), aux]) if guess is None
+             else _shaped("guess", guess, (size,)))
+    inverse = (None if newton_inverse is None
+               else _shaped("newton_inverse", newton_inverse, (size, size)))
     residuals = []
     for iteration in range(max_iters + 1):
         (residual, twist, aux_rate, mid_pose,
@@ -391,7 +403,8 @@ def implicit_midpoint_step(cmap: CoordinateMap, field: TwistField,
         if res_norm < newton_tol:
             coords = state[:6]
             return StepResult(_chart_pose(cmap, field.frame, pose, coords),
-                              state[6:], coords, iteration, tuple(residuals))
+                              state[6:], coords, iteration, tuple(residuals),
+                              inverse)
         if iteration == max_iters:
             raise NewtonConvergenceError(
                 f"implicit midpoint Newton iteration did not reach "
@@ -399,9 +412,11 @@ def implicit_midpoint_step(cmap: CoordinateMap, field: TwistField,
                 f"(last residual {res_norm:.3e})",
                 res_norm,
             )
-        jacobian = _midpoint_jacobian(cmap, field, t, h, aux, state, twist,
-                                      aux_rate, mid_pose, dmap_mat)
-        state = state - np.linalg.solve(jacobian, residual)
+        if iteration or inverse is None:
+            inverse = np.linalg.inv(_midpoint_jacobian(
+                cmap, field, t, h, aux, state, twist, aux_rate, mid_pose,
+                dmap_mat))
+        state = state - inverse @ residual
     raise AssertionError("unreachable")
 
 
@@ -440,6 +455,20 @@ def _orth_drift(pose: np.ndarray) -> float:
                      _dot(c1, c2)])
 
 
+def _midpoint_start(history: list, aux: np.ndarray) -> np.ndarray:
+    """Newton's start for the next implicit-midpoint step from the stacked
+    states (increment, end-of-step aux) of the last one to three steps,
+    newest last: ``3 (s_n - s_{n-1}) + s_{n-2}``, the linear extrapolation
+    after two steps, and after one the increment with the aux state moved
+    on from ``aux``, where the step started, by its change."""
+    newest = history[-1]
+    previous = (history[-2] if len(history) > 1
+                else np.concatenate([newest[:6], aux]))
+    if len(history) < 3:
+        return newest + (newest - previous)
+    return 3.0 * (newest - previous) + history[-3]
+
+
 def integrate(problem: Problem, method: str = "mk_rk4",
               map_kind="exponential", h: float = 1e-3, t_end: float = 1.0,
               newton_tol: float = 1e-12,
@@ -449,8 +478,9 @@ def integrate(problem: Problem, method: str = "mk_rk4",
     The run takes ``n = max(1, round(t_end / h))`` steps of ``t_end / n``, so
     it always ends at ``t_end``; ``Trajectory.step`` is the step taken, and
     a ratio ``t_end / h`` that overflows raises ValueError.  Implicit-midpoint
-    Newton starts from the previous step's chart increment and from the
-    auxiliary state moved on by its previous change; the first step starts
+    Newton starts from an extrapolation of the previous steps' solutions
+    (:func:`_midpoint_start`), and its first update reuses the inverse Newton
+    matrix of the previous step's last update; the first step starts cold,
     from a zero increment and the current auxiliary state.  On a failed step
     (chart domain violation or Newton breakdown) raises IntegrationError
     carrying the partial trajectory accumulated so far.
@@ -492,7 +522,8 @@ def integrate(problem: Problem, method: str = "mk_rk4",
 
     pose = np.array(problem.initial_pose, dtype=float)
     aux = field.aux0.copy()
-    guess = None
+    guess = newton_inverse = None
+    history = []
     record(0.0, pose, aux)
     for k in range(n_steps):
         t = k * h
@@ -501,11 +532,10 @@ def integrate(problem: Problem, method: str = "mk_rk4",
                 result = implicit_midpoint_step(
                     cmap, field, pose, t, h, aux,
                     newton_tol=newton_tol, max_iters=max_newton_iters,
-                    guess=guess)
-                # Newton's next start: the last increment, with the aux
-                # state extrapolated by its last change
-                guess = np.concatenate([result.coords,
-                                        result.aux + (result.aux - aux)])
+                    guess=guess, newton_inverse=newton_inverse)
+                newton_inverse = result.newton_inverse
+                history = history[-2:] + [np.append(result.coords, result.aux)]
+                guess = _midpoint_start(history, aux)
             elif method == "piecewise":
                 result = _piecewise_step(cmap, field, pose, t, h, aux)
             else:

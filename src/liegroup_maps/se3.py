@@ -382,8 +382,8 @@ def adjoint_cay_A_forms(screw) -> dict[str, np.ndarray]:
     4. hat of the transported translation velocity times R,
     5. split form hat(y) dcay(x) + s hat(x) hat(y) R.
     """
-    s = _as_vec(screw, 6, "screw")
-    x, y = s[:3], s[3:]
+    x, y, _ = _split(screw, _sigma)     # the chart and translation checks
+    x, y = np.array(x), np.array(y)
     rot = so3_cay(x)
     hx, hy = hat3(x), hat3(y)
     one_plus = _EYE3 + rot
@@ -422,8 +422,8 @@ class CayleyTranslationMismatch:
 
 def adjoint_vs_se3_cay_mismatch(screw) -> CayleyTranslationMismatch:
     """Evaluate both Cayley translation routes and their closed-form gap."""
-    s = _as_vec(screw, 6, "screw")
-    x, y = s[:3], s[3:]
+    x, y, _ = _split(screw, _sigma)     # the chart and translation checks
+    x, y = np.array(x), np.array(y)
     adjoint_route = so3_dcay(x) @ y
     group_route = (_EYE3 + so3_cay(x)) @ y
     predicted_gap = sigma(x) * float(x @ y) * x

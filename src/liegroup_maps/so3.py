@@ -116,10 +116,10 @@ def _hat_poly_deriv_rows(x, y, lin: float, quad: float, quad_rate: float,
     s01 = quad * (a * v + b * u) + rate * (a * b)
     s02 = quad * (a * w + c * u) + rate * (a * c)
     s12 = quad * (b * w + c * v) + rate * (b * c)
-    d = -2.0 * quad
-    return [[d * (bv + cw) - rate * (b * b + c * c), s01 - r, s02 + q],
-            [s01 + r, d * (au + cw) - rate * (a * a + c * c), s12 - p],
-            [s02 - q, s12 + p, d * (au + bv) - rate * (a * a + b * b)]]
+    d = 2.0 * quad      # 0.0 - (...): a +0.0 diagonal at x = 0
+    return [[0.0 - (d * (bv + cw) + rate * (b * b + c * c)), s01 - r, s02 + q],
+            [s01 + r, 0.0 - (d * (au + cw) + rate * (a * a + c * c)), s12 - p],
+            [s02 - q, s12 + p, 0.0 - (d * (au + bv) + rate * (a * a + b * b))]]
 
 
 def _hat_poly_deriv2_rows(x, y, u, v, lin, quad, lin_rate, quad_rate,

@@ -1,4 +1,5 @@
 import dataclasses
+import importlib
 import math
 
 import numpy as np
@@ -13,6 +14,7 @@ from liegroup_maps.integrate import (
     TwistField,
     _midpoint_jacobian,
     _midpoint_residual,
+    _midpoint_start,
     _orth_drift,
     beam_reconstruct,
     cayley_map,
@@ -289,15 +291,21 @@ def test_midpoint_trajectory_records_newton_iterations():
     assert iterations.shape == (10,)
     assert iterations.dtype.kind == "i"
     assert np.all(iterations >= 1)
-    # replay the chain through the public step with integrate's guesses
-    pose, aux, guess = trajectory.poses[0], trajectory.aux[0], None
+    # replay the chain through the public step with integrate's starts and
+    # carried Newton inverses
+    pose, aux = trajectory.poses[0], trajectory.aux[0]
+    guess = inverse = None
+    history = []
     for k, t in enumerate(trajectory.times[:-1]):
         step = implicit_midpoint_step(cayley_map(), problem.field, pose, t,
-                                      0.05, aux, guess=guess)
+                                      0.05, aux, guess=guess,
+                                      newton_inverse=inverse)
         assert step.iterations == iterations[k]
         np.testing.assert_array_equal(step.pose, trajectory.poses[k + 1])
         np.testing.assert_array_equal(step.aux, trajectory.aux[k + 1])
-        guess = np.concatenate([step.coords, step.aux + (step.aux - aux)])
+        inverse = step.newton_inverse
+        history = history[-2:] + [np.concatenate([step.coords, step.aux])]
+        guess = _midpoint_start(history, aux)
         pose, aux = step.pose, step.aux
 
 
@@ -329,6 +337,59 @@ def test_warm_start_is_exact_for_a_constant_twist():
     trajectory = integrate(make_constant_twist_problem(TWIST),
                            "implicit_midpoint", "exponential", 0.25, 1.0)
     np.testing.assert_array_equal(trajectory.newton_iterations, [1, 0, 0, 0])
+
+
+@pytest.mark.parametrize("kind", ["exponential", "cayley"])
+def test_warm_run_assembles_the_newton_matrix_only_at_the_start(
+        monkeypatch, kind):
+    # full Newton assembles one matrix per update, 251 here; the carried
+    # inverse serves every warm step's single update
+    module = importlib.import_module("liegroup_maps.integrate")
+    assemblies = []
+
+    def counting_jacobian(*args):
+        assemblies.append(args)
+        return _midpoint_jacobian(*args)
+
+    monkeypatch.setattr(module, "_midpoint_jacobian", counting_jacobian)
+    problem = make_heavy_top_problem(momentum0=(3.0, -2.0, 4.0))
+    iterations = integrate(problem, "implicit_midpoint", kind, 1e-3,
+                           0.25).newton_iterations
+    assert len(assemblies) <= 4
+    assert iterations.sum() <= 251
+
+
+@pytest.mark.parametrize("kind", ["exponential", "cayley"])
+@pytest.mark.parametrize("h, full_newton_updates", [(1e-3, 501), (1e-2, 100)])
+def test_reused_newton_matrix_on_a_moving_translation(kind, h,
+                                                      full_newton_updates):
+    # the spatial field feeds both pose blocks, so the carried matrix's
+    # translation columns go stale as well; the run still takes no more
+    # updates than full Newton and stays within 5e-10 of a cold replay
+    problem = Problem("spatial", _spatial_field(), np.eye(4))
+    warm = integrate(problem, "implicit_midpoint", kind, h, 0.5)
+    assert warm.newton_iterations.sum() <= full_newton_updates
+    cmap = coordinate_map(kind)
+    pose = warm.poses[0]
+    for k, t in enumerate(warm.times[:-1]):
+        pose = implicit_midpoint_step(cmap, problem.field, pose, t, h).pose
+        assert np.max(np.abs(pose - warm.poses[k + 1])) <= 5e-10
+
+
+def test_midpoint_newton_inverse_shape_and_stale_start():
+    field = make_heavy_top_problem().field
+    for bad in (np.eye(6), np.eye(10), np.zeros((9, 1)), np.zeros(81)):
+        with pytest.raises(ValueError, match="newton_inverse must have shape"):
+            implicit_midpoint_step(cayley_map(), field, np.eye(4), 0.0, 0.05,
+                                   newton_inverse=bad)
+    cold = implicit_midpoint_step(cayley_map(), field, np.eye(4), 0.0, 0.05)
+    # the identity serves the first update only; the rest reassemble
+    stale = implicit_midpoint_step(cayley_map(), field, np.eye(4), 0.0, 0.05,
+                                   newton_inverse=np.eye(9))
+    assert stale.residuals[-1] < 1e-12
+    assert np.max(np.abs(stale.pose - cold.pose)) <= 1e-10
+    assert np.max(np.abs(stale.aux - cold.aux)) <= 1e-10
+    assert stale.newton_inverse is not None
 
 
 def test_midpoint_guess_shape_and_default():

@@ -161,7 +161,7 @@ _DIRECTIONAL = (se3_ddexp, se3_ddexp_inv, se3_ddcay, se3_ddcay_inv,
 @pytest.mark.parametrize("op", [
     se3_exp, se3_cay, se3_log, se3_cay_inv, se3_dexp, se3_dexp_inv, se3_dcay,
     se3_dcay_inv, se3_dexp_adform, se3_dexp_inv_adform, adjoint_cay,
-    *_DIRECTIONAL])
+    adjoint_cay_A_forms, adjoint_vs_se3_cay_mismatch, *_DIRECTIONAL])
 def test_non_finite_translation_raises_domain_error(op, bad):
     # a pose for the inverses, a screw for the maps, and for the directional
     # maps the bad translation in the screw and then in the direction; the
@@ -289,6 +289,21 @@ def test_ddexp_at_zero_screw():
     want[3:, :3] = 0.5 * hat3(u[3:])
     assert_allclose(got, want, atol=1e-16)
     assert_allclose(se3_ddexp_inv(np.zeros(6), u), -want, atol=1e-16)
+
+
+@pytest.mark.parametrize("op, args", [
+    (so3_ddexp_inv, ([0.0, 0.0, 0.0], [1.0, 2.0, 3.0])),
+    (so3_ddexp, ([0.0, 0.0, 1e-3], [0.1, 0.4, -0.3])),
+    (se3_ddexp_inv, (np.zeros(6), [1.0, 2.0, 3.0, 0.2, -0.5, 0.6])),
+    (se3_dexp_inv, ([0.0, 0.0, 0.0, 1.0, 2.0, 3.0],)),
+    (se3_dexp, ([0.0, 0.0, 3.0, 1.0, 2.0, -0.7],)),
+])
+def test_hat_polynomial_derivative_has_no_negative_zeros(op, args):
+    # the diagonals vanish where x is zero or on an axis; they must come
+    # out as +0.0, so the CLI never prints -0.0 for an exact zero
+    out = op(*args)
+    zeros = out[out == 0.0]
+    assert zeros.size and not np.signbit(zeros).any()
 
 
 def test_ddexp_linear_in_direction():
