@@ -53,18 +53,14 @@ from .integrate import (
 )
 from .oracle import (
     SeriesConfig,
+    adjoint_cay_A_forms,
+    adjoint_vs_se3_cay_mismatch,
     fd_directional,
     resolvent_cay,
     series_dexp,
     series_dexp_inv,
     series_exp,
 )
-from .se3 import (
-    _screw_lemma_routes,
-    adjoint_cay_A_forms,
-    adjoint_vs_se3_cay_mismatch,
-)
-from .so3 import _rotation_lemma_routes
 
 EXIT_OK = 0
 EXIT_VERIFY_FAILURE = 1
@@ -301,22 +297,6 @@ def _mismatch_gap(ops, s, _):
     return (m.group_route - m.adjoint_route) - m.predicted_gap
 
 
-def _lemma_rotation(route: str):
-    def residual(ops, x, _):
-        routes = _rotation_lemma_routes(x)
-        return routes[route] - routes["exp"]
-
-    return residual
-
-
-def _lemma_screw(route: str):
-    def residual(ops, s, _):
-        routes = _screw_lemma_routes(s)
-        return routes[route] - routes["Ad_of_exp"]
-
-    return residual
-
-
 def _check_cay_exp_bridge(ops, rng):
     # hand-written: the residual needs angle and axis apart, while the echoed
     # input is their product
@@ -326,12 +306,11 @@ def _check_cay_exp_bridge(ops, rng):
     return res, angle * axis, None
 
 
-_LEMMA_ROUTES = ("dexpinv_neg_then_dexp", "dexp_then_dexpinv_neg",
-                 "identity_plus_hat_dexp", "identity_plus_dexp_hat")
-_LEMMA_SCREW_ROUTES = ("dexpinv_neg_then_dexp", "dexp_then_dexpinv_neg",
-                       "identity_plus_ad_dexp", "identity_plus_dexp_ad")
-
 _ALMOST_2PI = 2.0 * math.pi - 0.1
+# the frame-transport lemma Ad(exp X) = dexp(X) dexp(-X)^-1 = I + ad_X dexp(X)
+# needs dexp_inv at -X, so its samples stay a little further inside 2*pi
+_LEMMA_ROTVEC = _rotvec(2.0 * math.pi - 0.2)
+_LEMMA_SCREW = _screw(2.0 * math.pi - 0.2)
 
 # (suite, check name, tolerance, sampler, residual); a row without a sampler
 # is a hand-written check(ops, rng) -> (residual, x, y).  Adding an identity
@@ -401,13 +380,31 @@ _CHECKS = [
      _product_rule("se3_ddexp", "se3_dexp_inv", "se3_dexp", "se3_ddexp_inv")),
     ("derivatives", "deriv_cay_product_rule", 1e-9, _screw(2.5, True),
      _product_rule("se3_ddcay", "se3_dcay_inv", "se3_dcay", "se3_ddcay_inv")),
+    ("lemmas", "lemma_rotation_dexpinv_neg_then_dexp", 1e-10, _LEMMA_ROTVEC,
+     lambda ops, x, _: (ops["so3_dexp_inv"](-x) @ ops["so3_dexp"](x)
+                        - ops["so3_exp"](x))),
+    ("lemmas", "lemma_rotation_dexp_then_dexpinv_neg", 1e-10, _LEMMA_ROTVEC,
+     lambda ops, x, _: (ops["so3_dexp"](x) @ ops["so3_dexp_inv"](-x)
+                        - ops["so3_exp"](x))),
+    ("lemmas", "lemma_rotation_identity_plus_hat_dexp", 1e-10, _LEMMA_ROTVEC,
+     lambda ops, x, _: (np.eye(3) + hat3(x) @ ops["so3_dexp"](x)
+                        - ops["so3_exp"](x))),
+    ("lemmas", "lemma_rotation_identity_plus_dexp_hat", 1e-10, _LEMMA_ROTVEC,
+     lambda ops, x, _: (np.eye(3) + ops["so3_dexp"](x) @ hat3(x)
+                        - ops["so3_exp"](x))),
+    ("lemmas", "lemma_screw_dexpinv_neg_then_dexp", 1e-10, _LEMMA_SCREW,
+     lambda ops, s, _: (ops["se3_dexp_inv"](-s) @ ops["se3_dexp"](s)
+                        - Ad6(ops["se3_exp"](s)))),
+    ("lemmas", "lemma_screw_dexp_then_dexpinv_neg", 1e-10, _LEMMA_SCREW,
+     lambda ops, s, _: (ops["se3_dexp"](s) @ ops["se3_dexp_inv"](-s)
+                        - Ad6(ops["se3_exp"](s)))),
+    ("lemmas", "lemma_screw_identity_plus_ad_dexp", 1e-10, _LEMMA_SCREW,
+     lambda ops, s, _: (np.eye(6) + ad6(s) @ ops["se3_dexp"](s)
+                        - Ad6(ops["se3_exp"](s)))),
+    ("lemmas", "lemma_screw_identity_plus_dexp_ad", 1e-10, _LEMMA_SCREW,
+     lambda ops, s, _: (np.eye(6) + ops["se3_dexp"](s) @ ad6(s)
+                        - Ad6(ops["se3_exp"](s)))),
 ]
-_CHECKS += [("lemmas", f"lemma_rotation_{route}", 1e-10,
-             _rotvec(2.0 * math.pi - 0.2), _lemma_rotation(route))
-            for route in _LEMMA_ROUTES]
-_CHECKS += [("lemmas", f"lemma_screw_{route}", 1e-10,
-             _screw(2.0 * math.pi - 0.2), _lemma_screw(route))
-            for route in _LEMMA_SCREW_ROUTES]
 
 VERIFY_SUITES = ("all", "so3", "se3", "cayley", "derivatives", "lemmas")
 

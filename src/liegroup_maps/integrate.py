@@ -42,6 +42,9 @@ _ZERO3 = (0.0, 0.0, 0.0)
 _FD_STEP = 1e-7     # forward-difference step of the field Jacobian fallback
 
 DEFAULT_CONSTANT_TWIST = np.array([0.3, -0.2, 0.4, 1.0, 0.5, -0.3])
+# Largest step count a run accepts: a run keeps every pose, so a huge t_end/h
+# would exhaust memory (the largest run in tests and benchmarks is 16 000).
+MAX_STEPS = 10_000_000
 
 
 class NewtonConvergenceError(RuntimeError):
@@ -235,11 +238,12 @@ def _require_finite_positive(what: str, *values) -> None:
 
 
 def _step_count(h: float, t_end: float) -> int:
-    """round(t_end / h) for a finite, positive h and t_end."""
+    """round(t_end / h) for a finite, positive h and t_end; a ratio above
+    :data:`MAX_STEPS`, an overflowing one included, raises ValueError."""
     ratio = t_end / h
-    if ratio == math.inf:
-        raise ValueError(f"step count t_end/h overflows: t_end={t_end!r}, "
-                         f"h={h!r}")
+    if ratio > MAX_STEPS:
+        raise ValueError(f"step count t_end/h overflows the limit of "
+                         f"{MAX_STEPS} steps: t_end={t_end!r}, h={h!r}")
     return round(ratio)
 
 
@@ -477,13 +481,13 @@ def integrate(problem: Problem, method: str = "mk_rk4",
 
     The run takes ``n = max(1, round(t_end / h))`` steps of ``t_end / n``, so
     it always ends at ``t_end``; ``Trajectory.step`` is the step taken, and
-    a ratio ``t_end / h`` that overflows raises ValueError.  Implicit-midpoint
-    Newton starts from an extrapolation of the previous steps' solutions
-    (:func:`_midpoint_start`), and its first update reuses the inverse Newton
-    matrix of the previous step's last update; the first step starts cold,
-    from a zero increment and the current auxiliary state.  On a failed step
-    (chart domain violation or Newton breakdown) raises IntegrationError
-    carrying the partial trajectory accumulated so far.
+    a ratio ``t_end / h`` above :data:`MAX_STEPS` raises ValueError.
+    Implicit-midpoint Newton starts from an extrapolation of the previous
+    steps' solutions (:func:`_midpoint_start`), and its first update reuses
+    the inverse Newton matrix of the previous step's last update; the first
+    step starts cold, from a zero increment and the current auxiliary state.
+    On a failed step (chart domain violation or Newton breakdown) raises
+    IntegrationError carrying the partial trajectory accumulated so far.
     """
     if method not in _METHODS:
         raise ValueError(
@@ -721,20 +725,18 @@ def final_pose_deviation(reference: np.ndarray, candidate: np.ndarray) -> float:
 
 
 def convergence_study(problem: Problem, methods: Sequence[str], map_kind,
-                      h_list: Sequence[float], t_end: float,
-                      reference_h: float = None) -> dict:
+                      h_list: Sequence[float], t_end: float) -> dict:
     """Measure observed order for each method against a shared reference.
 
     The reference trajectory is one mk_rk4 run with the exponential chart at
-    ``reference_h`` (min(h_list)/8 unless given); its truncation error is
-    far below every candidate's.  Errors use the left-invariant final-pose
-    deviation; the slope is the least-squares fit of log error vs log h.
+    min(h_list)/8; its truncation error is far below every candidate's.
+    Errors use the left-invariant final-pose deviation; the slope is the
+    least-squares fit of log error vs log h.
     """
     h_list = sorted(h_list, reverse=True)
     if len(h_list) < 3:
         raise ValueError("need at least three step sizes")
-    if reference_h is None:
-        reference_h = min(h_list) / 8.0
+    reference_h = min(h_list) / 8.0
     _require_finite_positive("step sizes and end time", t_end, reference_h,
                              *h_list)
     for h in [*h_list, reference_h]:

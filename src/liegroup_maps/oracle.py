@@ -1,11 +1,13 @@
 """Independent reference routes used to certify the closed-form maps.
 
-Nothing here shares code with the closed-form implementations: the series
-oracles are plain truncated matrix Taylor sums, the inverse-differential
-oracle uses the Bernoulli coefficients of z/(exp(z) - 1) from their own
-integer recurrence, the directional derivative oracle is a central finite
-difference, and the Cayley oracle is a linear solve.  Tests compare every
-production formula against at least one of these routes.
+The series, finite-difference and resolvent oracles share no code with the
+closed-form implementations: the series oracles are plain truncated matrix
+Taylor sums, the inverse-differential oracle uses the Bernoulli coefficients
+of z/(exp(z) - 1) from their own integer recurrence, the directional
+derivative oracle is a central finite difference, and the Cayley oracle is a
+linear solve.  Tests compare every production formula against at least one
+of these routes.  The identity routes at the end, by contrast, recombine the
+rotation Cayley maps into quantities that must agree.
 """
 
 from __future__ import annotations
@@ -16,6 +18,10 @@ from typing import Callable
 
 import numpy as np
 
+from .core import hat3
+from .se3 import _split
+from .so3 import _sigma, sigma, so3_cay, so3_dcay
+
 __all__ = [
     "SeriesConfig",
     "series_exp",
@@ -23,6 +29,9 @@ __all__ = [
     "series_dexp_inv",
     "fd_directional",
     "resolvent_cay",
+    "adjoint_cay_A_forms",
+    "CayleyTranslationMismatch",
+    "adjoint_vs_se3_cay_mismatch",
 ]
 
 
@@ -38,6 +47,7 @@ _DEFAULT_CONFIG = SeriesConfig()
 _TAIL_TOL = 1e-17
 # Beyond this condition number of I - m the Cayley resolvent is refused.
 _RESOLVENT_COND_LIMIT = 1e12
+_EYE3 = np.eye(3)
 
 
 def _inv_tangent_series(n_terms: int) -> tuple:
@@ -166,3 +176,66 @@ def resolvent_cay(m) -> np.ndarray:
             f"Cayley resolvent orderings disagree by {gap:.3e}"
         )
     return left
+
+
+# ---------------------------------------------------------------------------
+# Cayley identity routes
+# ---------------------------------------------------------------------------
+
+
+def adjoint_cay_A_forms(screw) -> dict[str, np.ndarray]:
+    """The lower-left coupling block of :func:`liegroup_maps.se3.adjoint_cay`
+    by five algebraically equivalent routes (for cross-certification):
+
+    1. half-sandwich by (I + R),
+    2. resolvent sandwich 2 (I - hat(x))^{-1} hat(y) (I - hat(x))^{-1},
+    3. mixed resolvent (I - hat(x))^{-1} hat(y) (I + R),
+    4. hat of the transported translation velocity times R,
+    5. split form hat(y) dcay(x) + s hat(x) hat(y) R.
+    """
+    x, y, _ = _split(screw, _sigma)     # the chart and translation checks
+    x, y = np.array(x), np.array(y)
+    rot = so3_cay(x)
+    hx, hy = hat3(x), hat3(y)
+    one_plus = _EYE3 + rot
+    resolvent = _EYE3 - hx
+    half_sandwich = 0.5 * one_plus @ hy @ one_plus
+    inner = np.linalg.solve(resolvent, hy)
+    resolvent_sandwich = 2.0 * np.linalg.solve(resolvent.T, inner.T).T
+    mixed = np.linalg.solve(resolvent, hy @ one_plus)
+    transported_hat = hat3(so3_dcay(x) @ y) @ rot
+    split = hy @ so3_dcay(x) + sigma(x) * hx @ hy @ rot
+    return {
+        "half_sandwich": half_sandwich,
+        "resolvent_sandwich": resolvent_sandwich,
+        "mixed_resolvent": mixed,
+        "transported_hat": transported_hat,
+        "split": split,
+    }
+
+
+@dataclass(frozen=True)
+class CayleyTranslationMismatch:
+    """Both translation columns a screw can produce under the Cayley maps.
+
+    ``adjoint_route`` transports the linear block with the rotation Cayley
+    differential (dcay(x) @ y); ``group_route`` is the translation of the
+    rigid-motion Cayley pose ((I + R) @ y).  ``predicted_gap`` is the closed
+    form of group minus adjoint: s * (x . y) * x — zero exactly when the
+    screw's blocks are orthogonal, in particular for pure rotations and pure
+    translations, and nonzero for any screw with pitch.
+    """
+
+    adjoint_route: np.ndarray
+    group_route: np.ndarray
+    predicted_gap: np.ndarray
+
+
+def adjoint_vs_se3_cay_mismatch(screw) -> CayleyTranslationMismatch:
+    """Evaluate both Cayley translation routes and their closed-form gap."""
+    x, y, _ = _split(screw, _sigma)     # the chart and translation checks
+    x, y = np.array(x), np.array(y)
+    adjoint_route = so3_dcay(x) @ y
+    group_route = (_EYE3 + so3_cay(x)) @ y
+    predicted_gap = sigma(x) * float(x @ y) * x
+    return CayleyTranslationMismatch(adjoint_route, group_route, predicted_gap)

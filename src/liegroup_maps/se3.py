@@ -16,26 +16,16 @@ translation diagonals.  A consequence worth knowing: the rigid-motion Cayley
 map and the adjoint-style Cayley transport disagree in their translation
 columns by exactly ``s*(x.y)*x`` — they coincide only where the screw's
 rotation and translation parts are orthogonal.
-:func:`adjoint_vs_se3_cay_mismatch` exposes both routes and the closed-form
-gap.
+
+This module holds only closed forms.  The routes that certify them, this
+mismatch included, are in :mod:`liegroup_maps.oracle` and ``verify``.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
-from .core import (
-    Ad6,
-    _as_vec,
-    _cross,
-    _dot,
-    _finite,
-    _mat3,
-    ad6,
-    hat3,
-)
+from .core import _as_vec, _cross, _dot, _finite, _mat3, ad6
 from .scalars import (
     _adform_quad,
     _adform_quart,
@@ -53,8 +43,7 @@ from .scalars import (
 )
 from .so3 import (_angle, _cay_rows, _dcay_inv_rows, _ddcay_inv_rows,
                   _ddcay_rows, _hat_poly_deriv2_rows, _hat_poly_deriv_rows,
-                  _hat_poly_rows, _sigma, sigma, so3_cay, so3_cay_inv,
-                  so3_dcay, so3_dexp_inv, so3_log)
+                  _hat_poly_rows, _sigma, so3_cay_inv, so3_dexp_inv, so3_log)
 
 __all__ = [
     "se3_exp",
@@ -74,9 +63,6 @@ __all__ = [
     "se3_ddcay",
     "se3_ddcay_inv",
     "adjoint_cay",
-    "adjoint_cay_A_forms",
-    "CayleyTranslationMismatch",
-    "adjoint_vs_se3_cay_mismatch",
 ]
 
 _EYE3 = np.eye(3)
@@ -352,7 +338,7 @@ def se3_ddcay_inv(screw, dscrew) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# Cayley adjoint transport and the translation mismatch
+# Cayley adjoint transport
 # ---------------------------------------------------------------------------
 
 
@@ -362,7 +348,7 @@ def adjoint_cay(screw) -> np.ndarray:
 
     For a pure translation this reduces to unit diagonals with coupling
     2*hat(y).  Note this is NOT the frame transport of :func:`se3_cay`:
-    see :func:`adjoint_vs_se3_cay_mismatch`.
+    see :func:`liegroup_maps.oracle.adjoint_vs_se3_cay_mismatch`.
     """
     x, y, sig = _split(screw, _sigma)
     rot = _cay_rows(x, sig)
@@ -370,81 +356,3 @@ def adjoint_cay(screw) -> np.ndarray:
     w = [sig * (yi + ci) for yi, ci in zip(y, _cross(x, y))]
     cols = [_cross(w, col) for col in zip(*rot)]
     return _blocks66(rot, list(zip(*cols)), rot)
-
-
-def adjoint_cay_A_forms(screw) -> dict[str, np.ndarray]:
-    """The lower-left coupling block of :func:`adjoint_cay` by five
-    algebraically equivalent routes (for cross-certification):
-
-    1. half-sandwich by (I + R),
-    2. resolvent sandwich 2 (I - hat(x))^{-1} hat(y) (I - hat(x))^{-1},
-    3. mixed resolvent (I - hat(x))^{-1} hat(y) (I + R),
-    4. hat of the transported translation velocity times R,
-    5. split form hat(y) dcay(x) + s hat(x) hat(y) R.
-    """
-    x, y, _ = _split(screw, _sigma)     # the chart and translation checks
-    x, y = np.array(x), np.array(y)
-    rot = so3_cay(x)
-    hx, hy = hat3(x), hat3(y)
-    one_plus = _EYE3 + rot
-    resolvent = _EYE3 - hx
-    half_sandwich = 0.5 * one_plus @ hy @ one_plus
-    inner = np.linalg.solve(resolvent, hy)
-    resolvent_sandwich = 2.0 * np.linalg.solve(resolvent.T, inner.T).T
-    mixed = np.linalg.solve(resolvent, hy @ one_plus)
-    transported_hat = hat3(so3_dcay(x) @ y) @ rot
-    split = hy @ so3_dcay(x) + sigma(x) * hx @ hy @ rot
-    return {
-        "half_sandwich": half_sandwich,
-        "resolvent_sandwich": resolvent_sandwich,
-        "mixed_resolvent": mixed,
-        "transported_hat": transported_hat,
-        "split": split,
-    }
-
-
-@dataclass(frozen=True)
-class CayleyTranslationMismatch:
-    """Both translation columns a screw can produce under the Cayley maps.
-
-    ``adjoint_route`` transports the linear block with the rotation Cayley
-    differential (dcay(x) @ y); ``group_route`` is the translation of the
-    rigid-motion Cayley pose ((I + R) @ y).  ``predicted_gap`` is the closed
-    form of group minus adjoint: s * (x . y) * x — zero exactly when the
-    screw's blocks are orthogonal, in particular for pure rotations and pure
-    translations, and nonzero for any screw with pitch.
-    """
-
-    adjoint_route: np.ndarray
-    group_route: np.ndarray
-    predicted_gap: np.ndarray
-
-
-def adjoint_vs_se3_cay_mismatch(screw) -> CayleyTranslationMismatch:
-    """Evaluate both Cayley translation routes and their closed-form gap."""
-    x, y, _ = _split(screw, _sigma)     # the chart and translation checks
-    x, y = np.array(x), np.array(y)
-    adjoint_route = so3_dcay(x) @ y
-    group_route = (_EYE3 + so3_cay(x)) @ y
-    predicted_gap = sigma(x) * float(x @ y) * x
-    return CayleyTranslationMismatch(adjoint_route, group_route, predicted_gap)
-
-
-def _screw_lemma_routes(screw) -> dict[str, np.ndarray]:
-    """The frame transport of the screw exponential by five routes.
-
-    The adjoint of the exponential equals four different combinations of the
-    differential and its inverse at +/-X (all polynomials in the screw
-    adjoint, hence commuting); every entry must match ``Ad_of_exp``.
-    """
-    s = _as_vec(screw, 6, "screw")
-    d = se3_dexp(s)
-    d_inv_neg = se3_dexp_inv(-s)
-    ad = ad6(s)
-    return {
-        "Ad_of_exp": Ad6(se3_exp(s)),
-        "dexpinv_neg_then_dexp": d_inv_neg @ d,
-        "dexp_then_dexpinv_neg": d @ d_inv_neg,
-        "identity_plus_ad_dexp": _EYE6 + ad @ d,
-        "identity_plus_dexp_ad": _EYE6 + d @ ad,
-    }

@@ -20,7 +20,7 @@ import math
 
 import numpy as np
 
-from .core import (ChartDomainError, _as_vec, _dot, _finite, _mat3, hat3,
+from .core import (ChartDomainError, _as_vec, _dot, _finite, _mat3,
                    is_rotation, vee3)
 from .scalars import (
     _dexp_lin_rate,
@@ -227,26 +227,6 @@ def so3_ddexp_inv(rotvec, direction) -> np.ndarray:
     ensure_dexp_inv_domain(phi)
     return np.array(_hat_poly_deriv_rows(x, u, -0.5, _dexpinv_quad(phi),
                                          _dexpinv_quad_rate(phi)))
-
-
-def _rotation_lemma_routes(rotvec) -> dict[str, np.ndarray]:
-    """The rotation matrix by four differential-only routes.
-
-    On the rotation group the differential at -x is the transpose of the
-    differential at x, which turns the adjoint of the exponential into four
-    equivalent matrix identities; all must reproduce :func:`so3_exp`.
-    """
-    x = _as_vec(rotvec, 3, "rotvec")
-    d = so3_dexp(x)
-    d_inv_neg = so3_dexp_inv(-x)
-    hx = hat3(x)
-    return {
-        "exp": so3_exp(x),
-        "dexpinv_neg_then_dexp": d_inv_neg @ d,
-        "dexp_then_dexpinv_neg": d @ d_inv_neg,
-        "identity_plus_hat_dexp": _EYE3 + hx @ d,
-        "identity_plus_dexp_hat": _EYE3 + d @ hx,
-    }
 
 
 # ---------------------------------------------------------------------------

@@ -235,13 +235,23 @@ def test_fault_injection_fails_verify(capsys, monkeypatch):
     assert "--x" in err  # worst case echoed re-runnably
 
 
-@pytest.mark.parametrize("target", list(_verify_ops()))
-def test_every_fault_target_fails_verify(capsys, monkeypatch, target):
+# the frame-transport lemmas call these through the verify table too, so a
+# fault in any of them must fail the lemmas suite on its own
+_LEMMA_OPS = ("so3_exp", "so3_dexp", "so3_dexp_inv", "se3_exp", "se3_dexp",
+              "se3_dexp_inv")
+
+
+@pytest.mark.parametrize("target, suite", [
+    *(pytest.param(target, "all", id=target) for target in _verify_ops()),
+    *(pytest.param(target, "lemmas", id=f"lemmas-{target}")
+      for target in _LEMMA_OPS)])
+def test_every_fault_target_fails_verify(capsys, monkeypatch, target, suite):
     # an operation that no check calls would let its injected fault pass
     monkeypatch.setenv("LIEGROUP_MAPS_FAULT_INJECT", target)
-    code, _, err = _run(capsys, ["verify", "all", "--n", "3"])
+    code, _, err = _run(capsys, ["verify", suite, "--n", "3"])
     assert code == 1
-    assert "verify failure" in err
+    assert ("verify failure" if suite == "all"
+            else "verify failure in lemma_") in err
 
 
 def test_fault_injection_leaves_library_untouched(capsys, monkeypatch):

@@ -8,6 +8,7 @@ from numpy.testing import assert_allclose
 
 from liegroup_maps.core import ChartDomainError, hat3
 from liegroup_maps.integrate import (
+    MAX_STEPS,
     IntegrationError,
     NewtonConvergenceError,
     Problem,
@@ -16,6 +17,7 @@ from liegroup_maps.integrate import (
     _midpoint_residual,
     _midpoint_start,
     _orth_drift,
+    _step_count,
     beam_reconstruct,
     cayley_map,
     convergence_study,
@@ -610,9 +612,6 @@ def test_convergence_study_rejects_non_finite_input(bad):
     with pytest.raises(ValueError, match=match):
         convergence_study(problem, ["mk_rk4"], "exponential",
                           [0.1, bad, 0.025], 1.0)
-    with pytest.raises(ValueError, match=match):
-        convergence_study(problem, ["mk_rk4"], "exponential", steps, 1.0,
-                          reference_h=bad)
 
 
 def test_overflowing_step_count_rejected():
@@ -622,6 +621,11 @@ def test_overflowing_step_count_rejected():
     with pytest.raises(ValueError, match="overflows"):
         convergence_study(problem, ["mk_rk4"], "exponential",
                           [4e-300, 2e-300, 1e-300], 1e300)
+    # a finite but huge t_end/h would grow the trajectory lists until memory
+    # runs out, so it meets the same limit
+    assert _step_count(1.0 / MAX_STEPS, 1.0) == MAX_STEPS
+    with pytest.raises(ValueError, match="overflows the limit"):
+        _step_count(1e-12, 1.0)
 
 
 def test_convergence_study_rejects_non_dividing_steps():

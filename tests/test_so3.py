@@ -14,7 +14,6 @@ from liegroup_maps.oracle import (
 )
 from liegroup_maps.se3 import se3_dexp, se3_dexp_inv, se3_exp
 from liegroup_maps.so3 import (
-    _rotation_lemma_routes,
     sigma,
     so3_cay,
     so3_cay_inv,
@@ -178,12 +177,19 @@ def test_dexp_transpose_parity():
 
 
 def test_rotation_lemma_routes_agree():
+    # the frame-transport lemma on the rotation group: four differential-only
+    # routes to the rotation matrix
     for _ in range(100):
         x = random_rotvec(max_angle=TWO_PI - 0.2)
-        routes = _rotation_lemma_routes(x)
-        base = routes["exp"]
+        d, d_inv_neg, hx = so3_dexp(x), so3_dexp_inv(-x), hat3(x)
+        routes = {
+            "dexpinv_neg_then_dexp": d_inv_neg @ d,
+            "dexp_then_dexpinv_neg": d @ d_inv_neg,
+            "identity_plus_hat_dexp": np.eye(3) + hx @ d,
+            "identity_plus_dexp_hat": np.eye(3) + d @ hx,
+        }
         for name, value in routes.items():
-            assert_allclose(value, base, atol=1e-10, err_msg=name)
+            assert_allclose(value, so3_exp(x), atol=1e-10, err_msg=name)
 
 
 def test_ddexp_matches_finite_difference():
