@@ -59,11 +59,24 @@ def _as_mat(m, n: int, name: str) -> np.ndarray:
     return out
 
 
+def _as_pose(m, name: str = "pose", corner: float = 1.0) -> np.ndarray:
+    """A 4x4 float array with bottom row (0, 0, 0, corner) to within 1e-9;
+    ValueError otherwise, for a NaN entry too."""
+    m = _as_mat(m, 4, name)
+    dev = float(np.abs(m[3] - (0.0, 0.0, 0.0, corner)).max())
+    if not dev <= _BOTTOM_ROW_TOL:
+        raise ValueError(f"bottom row of {name} must be "
+                         f"(0, 0, 0, {corner:g}), max deviation {dev:.3e}")
+    return m
+
+
 def _finite(values, name: str) -> None:
     """ChartDomainError naming ``name`` unless every entry of the float
     sequence ``values`` is finite; entry by entry, so no sum can overflow."""
-    if not all(map(math.isfinite, values)):
-        raise ChartDomainError(f"{name} must be finite, got {list(values)!r}")
+    for value in values:
+        if not math.isfinite(value):
+            raise ChartDomainError(
+                f"{name} must be finite, got {list(values)!r}")
 
 
 def _dot(a, b) -> float:
@@ -131,11 +144,7 @@ def vee6(m) -> np.ndarray:
 
     The bottom row must vanish to within 1e-9.
     """
-    m = _as_mat(m, 4, "m")
-    if np.abs(m[3, :]).max() > _BOTTOM_ROW_TOL:
-        raise ValueError(
-            f"bottom row must vanish, max entry {np.abs(m[3, :]).max():.3e}"
-        )
+    m = _as_pose(m, "m", 0.0)
     out = np.empty(6)
     out[:3] = vee3(m[:3, :3])
     out[3:] = m[:3, 3]
@@ -196,7 +205,8 @@ def pose_compose(a, b) -> np.ndarray:
 
 
 def pose_inverse(pose) -> np.ndarray:
-    """Group inverse of a pose: [[R^T, -R^T r], [0, 1]]."""
+    """Group inverse of a rigid pose: [[R^T, -R^T r], [0, 1]].  For rigid
+    poses only: it checks neither the rotation block nor the bottom row."""
     pose = _as_mat(pose, 4, "pose")
     rot_t = pose[:3, :3].T
     out = np.eye(4)
@@ -206,8 +216,9 @@ def pose_inverse(pose) -> np.ndarray:
 
 
 def is_rotation(rot, tol: float = _ORTHONORMALITY_TOL) -> bool:
-    """True if rot is orthonormal within tol and has positive determinant."""
+    """True if rot is orthonormal within tol and has positive determinant;
+    False for a matrix with a NaN entry."""
     rot = _as_mat(rot, 3, "rot")
-    if np.abs(rot.T @ rot - np.eye(3)).max() > tol:
+    if not np.abs(rot.T @ rot - np.eye(3)).max() <= tol:
         return False
     return float(np.linalg.det(rot)) > 0.0

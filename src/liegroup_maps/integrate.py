@@ -7,6 +7,11 @@ the step closes with ``C <- C @ map(X_h)`` (body) or ``C <- map(X_h) @ C``
 (spatial).  The pose is always a product of exact group elements, so
 orthonormality is preserved to rounding regardless of step size.
 
+Every stepper reaches the chart through points, ``cmap.at(coords)``: a
+point parses and chart-checks its coordinates once, gives the local pose
+``map(X)`` and applies ``dmap_inv(-X)`` or ``dmap_inv(X)`` to a twist on
+floats, by the row functions of the public ``se3`` maps.
+
 Three steppers are provided: a classical RK4 run through the chart, a
 piecewise rule that freezes the field at the step midpoint (beams use it in
 arclength), and an implicit midpoint rule whose Newton iteration assembles
@@ -25,20 +30,16 @@ from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
-from .core import ChartDomainError, _cross, _dot, _mat3, pose_inverse
-from .se3 import (
-    se3_cay,
-    se3_dcay,
-    se3_dcay_inv,
-    se3_ddcay_inv_tangent,
-    se3_ddexp_inv_tangent,
-    se3_dexp,
-    se3_dexp_inv,
-    se3_exp,
-)
+from .core import (ChartDomainError, _as_pose, _as_vec, _cross, _dot, _finite,
+                   _mat3, is_rotation, pose_inverse)
+from .se3 import (_blocks66, _cay_pose, _dcay_inv_blocks, _dexp_inv_blocks,
+                  _exp_pose, se3_dcay, se3_ddcay_inv_tangent,
+                  se3_ddexp_inv_tangent, se3_dexp, se3_exp)
+from .so3 import _angle, _sigma
 
 _FRAMES = ("body", "spatial")
 _ZERO3 = (0.0, 0.0, 0.0)
+_ZERO6 = (0.0,) * 6
 _FD_STEP = 1e-7     # forward-difference step of the field Jacobian fallback
 
 DEFAULT_CONSTANT_TWIST = np.array([0.3, -0.2, 0.4, 1.0, 0.5, -0.3])
@@ -68,37 +69,97 @@ class IntegrationError(RuntimeError):
 # ---------------------------------------------------------------------------
 
 
+class ChartPoint:
+    """A chart point: ``cmap.at(coords)``, or ``ChartPoint(cmap, floats)``
+    for the list of 6 floats a stepper builds.  The chart check and the
+    finite-translation check run once; at the origin the composition is
+    skipped and the operator rows are built with the point."""
+
+    __slots__ = ("_cmap", "_x", "_y", "_k", "_origin_rows")
+
+    def __init__(self, cmap: "CoordinateMap", floats: list):
+        self._cmap, self._x, self._y = cmap, floats[:3], floats[3:]
+        self._k = cmap.check(self._x)
+        _finite(self._y, "translation")
+        self._origin_rows = (None if any(floats) else
+                             cmap.dmap_inv_rows(self._x, self._y, self._k))
+
+    def pose(self) -> np.ndarray:
+        """The local pose ``map(coords)``."""
+        return self._cmap.local_pose(self._x, self._y, self._k)
+
+    def compose(self, pose: np.ndarray, frame: str) -> np.ndarray:
+        """``pose`` moved through the local pose in ``frame``."""
+        return pose if self._origin_rows else _compose(frame, pose,
+                                                       self.pose())
+
+    def _rows(self, frame: str) -> tuple:
+        if self._origin_rows:
+            return self._origin_rows
+        x, y = self._x, self._y
+        if frame == "body":
+            (a, b, c), (u, v, w) = x, y
+            x, y = [-a, -b, -c], [-u, -v, -w]
+        return self._cmap.dmap_inv_rows(x, y, self._k)
+
+    def dmap_inv(self, twist, frame: str) -> list:
+        """The coordinate rate of a twist in ``frame`` as floats, with no
+        6x6 array: ``dmap_inv(-coords) @ twist`` for a body frame,
+        ``dmap_inv(coords) @ twist`` for a spatial one."""
+        a, b, c, u, v, w = _as_vec(twist, 6, "twist").tolist()
+        top, low, diag = self._rows(frame)
+        # summed in the pairing of NumPy's 6x6 product through OpenBLAS
+        # dgemv, so a twist without translation gets the array product's bits
+        return [(p * a + r * c) + q * b for p, q, r in top] + [
+            ((p * a + r * c) + (q * b + l * u)) + (m * v + n * w)
+            for (p, q, r), (l, m, n) in zip(low, diag)]
+
+    def dmap_inv_matrix(self, frame: str) -> np.ndarray:
+        """The operator of :meth:`dmap_inv` as a 6x6 array."""
+        return _blocks66(*self._rows(frame))
+
+
 @dataclass(frozen=True)
 class CoordinateMap:
-    """A local chart: value map plus the operators its steppers need.
+    """A local chart: one point entry, :meth:`at` (``origin`` is the point
+    at zero), plus the operators the Newton matrix needs.
 
-    ``dmap`` is the right-trivialized differential of ``value``
-    (``value(x + d) ~ exp(hat(dmap(x) @ d)) @ value(x)``); ``dmap_inv`` is
-    its inverse and maps a body/spatial twist to the coordinate rate; its value
-    at zero is the identity for the exponential chart and half the identity
-    for the Cayley chart (whose differential at zero is twice the identity).
-    ``ddmap_inv_tangent(x, v)`` assembles the directional derivatives of
-    ``dmap_inv`` at x along all six basis directions, contracted with a
-    fixed twist, in one pass (the curvature block of implicit tangent
-    matrices).  ``dmap_inv_zero`` caches ``dmap_inv(0)``.
+    Points run the code of the public maps: the chart check ``check`` and
+    the row functions ``local_pose`` and ``dmap_inv_rows``.  ``dmap`` is
+    the right-trivialized differential of the value map (``map(x + d) ~
+    exp(hat(dmap(x) @ d)) @ map(x)``); its inverse maps a body/spatial twist
+    to the coordinate rate and is I at zero (I/2 on the Cayley chart, whose
+    differential at zero is 2I).  ``ddmap_inv_tangent(x, v)`` assembles the
+    directional derivatives of that inverse at x along all six basis
+    directions, contracted with a fixed twist, in one pass (the curvature
+    block of implicit tangent matrices).
     """
 
     kind: str
-    value: Callable[[np.ndarray], np.ndarray]
+    check: Callable[[list], float]
+    local_pose: Callable[..., np.ndarray]
+    dmap_inv_rows: Callable[..., tuple]
     dmap: Callable[[np.ndarray], np.ndarray]
-    dmap_inv: Callable[[np.ndarray], np.ndarray]
     ddmap_inv_tangent: Callable[[np.ndarray, np.ndarray], np.ndarray]
-    dmap_inv_zero: np.ndarray
+    origin: ChartPoint = dataclass_field(init=False, repr=False,
+                                         compare=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "origin", self.at(_ZERO6))
+
+    def at(self, coords) -> ChartPoint:
+        """The chart point at a 6-vector of coordinates."""
+        return ChartPoint(self, _as_vec(coords, 6, "coords").tolist())
 
 
 def exponential_map() -> CoordinateMap:
-    return CoordinateMap("exponential", se3_exp, se3_dexp, se3_dexp_inv,
-                         se3_ddexp_inv_tangent, np.eye(6))
+    return CoordinateMap("exponential", _angle, _exp_pose, _dexp_inv_blocks,
+                         se3_dexp, se3_ddexp_inv_tangent)
 
 
 def cayley_map() -> CoordinateMap:
-    return CoordinateMap("cayley", se3_cay, se3_dcay, se3_dcay_inv,
-                         se3_ddcay_inv_tangent, 0.5 * np.eye(6))
+    return CoordinateMap("cayley", _sigma, _cay_pose, _dcay_inv_blocks,
+                         se3_dcay, se3_ddcay_inv_tangent)
 
 
 def coordinate_map(kind) -> CoordinateMap:
@@ -213,24 +274,6 @@ def _compose(frame: str, pose: np.ndarray, local: np.ndarray) -> np.ndarray:
     return pose @ local if frame == "body" else local @ pose
 
 
-def _chart_pose(cmap: CoordinateMap, frame: str, pose: np.ndarray,
-                coords: np.ndarray) -> np.ndarray:
-    if not any(coords.tolist()):    # cheaper than ndarray.any() at size 6
-        return pose
-    return _compose(frame, pose, cmap.value(coords))
-
-
-def _chart_dmap_inv(cmap: CoordinateMap, frame: str,
-                    coords: np.ndarray) -> np.ndarray:
-    """The operator taking a twist to the coordinate rate at ``coords``:
-    ``dmap_inv(-coords)`` for a body field, ``dmap_inv(coords)`` for a
-    spatial one."""
-    if not any(coords.tolist()):
-        return cmap.dmap_inv_zero
-    sign = -1.0 if frame == "body" else 1.0
-    return cmap.dmap_inv(sign * coords)
-
-
 def _require_finite_positive(what: str, *values) -> None:
     for value in values:
         if not 0.0 < value < math.inf:     # false for NaN as well
@@ -265,29 +308,36 @@ def mk_rk4_step(cmap: CoordinateMap, field: TwistField, pose: np.ndarray,
     """Advance one step of classical RK4 run through the chart.
 
     The chart coordinates restart at zero each step; auxiliary state is
-    co-integrated with the same tableau.  Raises ChartDomainError if an
+    co-integrated with the same tableau.  Each stage is one chart point,
+    and the stage sums run on floats.  Raises ChartDomainError if an
     internal stage leaves the chart.
     """
     _require_finite_positive("step size", h)
     aux = _field_aux(field, aux)
+    frame, z0 = field.frame, aux.tolist()
 
-    def rate(tau, coords, z):
-        stage_pose = _chart_pose(cmap, field.frame, pose, coords)
-        twist, aux_rate = field.rate(tau, stage_pose, z)
-        xdot = (_chart_dmap_inv(cmap, field.frame, coords)
-                @ np.asarray(twist, dtype=float))
-        return xdot, np.asarray(aux_rate, dtype=float)
+    def rate(tau, point, z):
+        twist, aux_rate = field.rate(tau, point.compose(pose, frame), z)
+        return (point.dmap_inv(twist, frame),
+                np.asarray(aux_rate, dtype=float).tolist())
 
-    zero = np.zeros(6)
-    k1x, k1z = rate(t, zero, aux)
-    k2x, k2z = rate(t + 0.5 * h, 0.5 * h * k1x, aux + 0.5 * h * k1z)
-    k3x, k3z = rate(t + 0.5 * h, 0.5 * h * k2x, aux + 0.5 * h * k2z)
-    k4x, k4z = rate(t + h, h * k3x, aux + h * k3z)
+    def stage(tau, scale, kx, kz):
+        return rate(tau, ChartPoint(cmap, [scale * k for k in kx]),
+                    np.array([z + scale * k for z, k in zip(z0, kz)]))
 
-    coords = (h / 6.0) * (k1x + 2.0 * k2x + 2.0 * k3x + k4x)
-    aux_next = aux + (h / 6.0) * (k1z + 2.0 * k2z + 2.0 * k3z + k4z)
-    return StepResult(_chart_pose(cmap, field.frame, pose, coords), aux_next,
-                      coords)
+    half = 0.5 * h
+    k1x, k1z = rate(t, cmap.origin, aux)
+    k2x, k2z = stage(t + half, half, k1x, k1z)
+    k3x, k3z = stage(t + half, half, k2x, k2z)
+    k4x, k4z = stage(t + h, h, k3x, k3z)
+
+    sixth = h / 6.0
+    coords = [sixth * (a + 2.0 * b + 2.0 * c + d)
+              for a, b, c, d in zip(k1x, k2x, k3x, k4x)]
+    aux_next = np.array([z + sixth * (a + 2.0 * b + 2.0 * c + d)
+                         for z, a, b, c, d in zip(z0, k1z, k2z, k3z, k4z)])
+    return StepResult(ChartPoint(cmap, coords).compose(pose, frame), aux_next,
+                      np.array(coords))
 
 
 def _midpoint_residual(cmap: CoordinateMap, field: TwistField,
@@ -299,16 +349,17 @@ def _midpoint_residual(cmap: CoordinateMap, field: TwistField,
     end-of-step auxiliary state.
     """
     coords, z_end = state[:6], state[6:]
-    mid_pose = _chart_pose(cmap, field.frame, pose, 0.5 * coords)
+    mid_pose = cmap.at(0.5 * coords).compose(pose, field.frame)
     twist, aux_rate = field.rate(t + 0.5 * h, mid_pose, 0.5 * (aux + z_end))
     twist = np.asarray(twist, dtype=float)
     aux_rate = np.asarray(aux_rate, dtype=float)
-    dmap_mat = _chart_dmap_inv(cmap, field.frame, coords)
+    point = cmap.at(coords)
+    rate = point.dmap_inv(twist, field.frame)
     residual = np.concatenate([
-        coords - h * (dmap_mat @ twist),
+        [c - h * r for c, r in zip(coords.tolist(), rate)],
         z_end - aux - h * aux_rate,
     ])
-    return residual, twist, aux_rate, mid_pose, dmap_mat
+    return residual, twist, aux_rate, mid_pose, point
 
 
 def _field_jacobian_fd(field: TwistField, t: float, pose: np.ndarray,
@@ -337,7 +388,7 @@ def _field_jacobian_fd(field: TwistField, t: float, pose: np.ndarray,
 def _midpoint_jacobian(cmap: CoordinateMap, field: TwistField, t: float,
                        h: float, aux: np.ndarray, state: np.ndarray,
                        twist: np.ndarray, aux_rate: np.ndarray,
-                       mid_pose: np.ndarray, dmap_mat: np.ndarray):
+                       mid_pose: np.ndarray, point: ChartPoint):
     """Newton Jacobian of the midpoint residual by the chain rule.
 
     The field Jacobian is taken at the midpoint with respect to the pose
@@ -356,11 +407,11 @@ def _midpoint_jacobian(cmap: CoordinateMap, field: TwistField, t: float,
                                        aux_rate)
     else:
         field_jac = field.jacobian(t_mid, mid_pose, aux_mid)
-    # I - h [[dmap_mat, 0], [0, I]] field_jac [[dmap(.)/2, 0], [0, I/2]]
+    # I - h [[dmap_inv, 0], [0, I]] field_jac [[dmap(.)/2, 0], [0, I/2]]
     # - h sign ddmap_inv_tangent, built on one fresh array
     jacobian = (-0.5 * h) * np.asarray(field_jac, dtype=float)
     jacobian[:, :6] = jacobian[:, :6] @ cmap.dmap(0.5 * sign * coords)
-    jacobian[:6] = dmap_mat @ jacobian[:6]
+    jacobian[:6] = point.dmap_inv_matrix(field.frame) @ jacobian[:6]
     jacobian[:6, :6] -= (h * sign) * cmap.ddmap_inv_tangent(sign * coords,
                                                             twist)
     jacobian.flat[::state.size + 1] += 1.0
@@ -395,7 +446,7 @@ def implicit_midpoint_step(cmap: CoordinateMap, field: TwistField,
     residuals = []
     for iteration in range(max_iters + 1):
         (residual, twist, aux_rate, mid_pose,
-         dmap_mat) = _midpoint_residual(cmap, field, pose, t, h, aux, state)
+         point) = _midpoint_residual(cmap, field, pose, t, h, aux, state)
         res_norm = _max_abs(residual.tolist())
         residuals.append(res_norm)
         if not math.isfinite(res_norm):
@@ -405,10 +456,8 @@ def implicit_midpoint_step(cmap: CoordinateMap, field: TwistField,
                 res_norm,
             )
         if res_norm < newton_tol:
-            coords = state[:6]
-            return StepResult(_chart_pose(cmap, field.frame, pose, coords),
-                              state[6:], coords, iteration, tuple(residuals),
-                              inverse)
+            return StepResult(point.compose(pose, field.frame), state[6:],
+                              state[:6], iteration, tuple(residuals), inverse)
         if iteration == max_iters:
             raise NewtonConvergenceError(
                 f"implicit midpoint Newton iteration did not reach "
@@ -419,7 +468,7 @@ def implicit_midpoint_step(cmap: CoordinateMap, field: TwistField,
         if iteration or inverse is None:
             inverse = np.linalg.inv(_midpoint_jacobian(
                 cmap, field, t, h, aux, state, twist, aux_rate, mid_pose,
-                dmap_mat))
+                point))
         state = state - inverse @ residual
     raise AssertionError("unreachable")
 
@@ -431,9 +480,10 @@ def _piecewise_step(cmap: CoordinateMap, field: TwistField, pose: np.ndarray,
     chart convention, and the auxiliary state moves by ``h * aux_rate``.  The
     field sees the pose and auxiliary state at the start of the step."""
     twist, aux_rate = field.rate(t + 0.5 * h, pose, aux)
-    coords = h * (cmap.dmap_inv_zero @ np.asarray(twist, dtype=float))
-    return StepResult(_chart_pose(cmap, field.frame, pose, coords),
-                      aux + h * np.asarray(aux_rate, dtype=float), coords)
+    coords = [h * r for r in cmap.origin.dmap_inv(twist, field.frame)]
+    return StepResult(ChartPoint(cmap, coords).compose(pose, field.frame),
+                      aux + h * np.asarray(aux_rate, dtype=float),
+                      np.array(coords))
 
 
 _METHODS = ("mk_rk4", "implicit_midpoint", "piecewise")
@@ -481,7 +531,8 @@ def integrate(problem: Problem, method: str = "mk_rk4",
 
     The run takes ``n = max(1, round(t_end / h))`` steps of ``t_end / n``, so
     it always ends at ``t_end``; ``Trajectory.step`` is the step taken, and
-    a ratio ``t_end / h`` above :data:`MAX_STEPS` raises ValueError.
+    a ratio ``t_end / h`` above :data:`MAX_STEPS` raises ValueError, as does
+    an initial pose that is not a finite, rigid 4x4 pose.
     Implicit-midpoint Newton starts from an extrapolation of the previous
     steps' solutions (:func:`_midpoint_start`), and its first update reuses
     the inverse Newton matrix of the previous step's last update; the first
@@ -494,6 +545,9 @@ def integrate(problem: Problem, method: str = "mk_rk4",
             f"unknown method {method!r}; expected one of {_METHODS}"
         )
     _require_finite_positive("step size and end time", h, t_end)
+    pose = _as_pose(problem.initial_pose, "initial pose")
+    if not (np.isfinite(pose).all() and is_rotation(pose[:3, :3])):
+        raise ValueError("initial pose must be finite and rigid")
     cmap = coordinate_map(map_kind)
     field = problem.field
     n_steps = max(1, _step_count(h, t_end))
@@ -524,7 +578,6 @@ def integrate(problem: Problem, method: str = "mk_rk4",
             newton_iterations=np.array(iterations, dtype=int),
         )
 
-    pose = np.array(problem.initial_pose, dtype=float)
     aux = field.aux0.copy()
     guess = newton_inverse = None
     history = []

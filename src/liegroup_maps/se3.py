@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .core import _as_vec, _cross, _dot, _finite, _mat3, ad6
+from .core import _as_pose, _as_vec, _cross, _dot, _finite, _mat3, ad6
 from .scalars import (
     _adform_quad,
     _adform_quart,
@@ -96,7 +96,11 @@ def _split(vec, chart=None, name: str = "screw"):
 def se3_exp(screw) -> np.ndarray:
     """Pose of a screw: rotation from the angular block, translation through
     the rotation differential applied to the linear block."""
-    x, y, phi = _split(screw, _angle)
+    return _exp_pose(*_split(screw, _angle))
+
+
+def _exp_pose(x, y, phi: float) -> np.ndarray:
+    """:func:`se3_exp` of the floats that :func:`_split` gives."""
     half_beta, delta = 0.5 * _sinc_sq_half(phi), _dexp_quad(phi)
     r0, r1, r2 = _hat_poly_rows(x, _sinc(phi), half_beta)
     # translation dexp(x) y = y + (beta/2) x × y + delta x × (x × y)
@@ -112,9 +116,7 @@ def se3_exp(screw) -> np.ndarray:
 
 def se3_log(pose) -> np.ndarray:
     """Screw of a pose; inverse of :func:`se3_exp` with |x| <= pi."""
-    pose = np.asarray(pose, dtype=float)
-    if pose.shape != (4, 4):
-        raise ValueError(f"pose must be 4x4, got shape {pose.shape}")
+    pose = _as_pose(pose)
     x = so3_log(pose[:3, :3])
     _finite(pose[:3, 3].tolist(), "translation")
     y = so3_dexp_inv(x) @ pose[:3, 3]
@@ -137,12 +139,17 @@ def se3_dexp(screw) -> np.ndarray:
 
 def se3_dexp_inv(screw) -> np.ndarray:
     """Inverse differential of :func:`se3_exp` (block form); |x| < 2*pi."""
-    x, y, phi = _split(screw, _angle)
+    return _blocks66(*_dexp_inv_blocks(*_split(screw, _angle)))
+
+
+def _dexp_inv_blocks(x, y, phi: float) -> tuple:
+    """Rows of the diagonal, lower-left and diagonal blocks of
+    :func:`se3_dexp_inv` from the floats that :func:`_split` gives."""
     ensure_dexp_inv_domain(phi)
     quad = _dexpinv_quad(phi)
     d = _hat_poly_rows(x, -0.5, quad)
-    low = _hat_poly_deriv_rows(x, y, -0.5, quad, _dexpinv_quad_rate(phi))
-    return _blocks66(d, low, d)
+    return d, _hat_poly_deriv_rows(x, y, -0.5, quad,
+                                   _dexpinv_quad_rate(phi)), d
 
 
 def se3_dexp_adform(screw) -> np.ndarray:
@@ -264,17 +271,20 @@ def se3_cay(screw) -> np.ndarray:
     Rotation block from the Gibbs vector x; translation (I + R) @ y.
     Identical to the 4x4 resolvent (I - hat(X))^{-1} (I + hat(X)).
     """
-    x, y, sig = _split(screw, _sigma)
-    rows = _cay_rows(x, sig)
-    return np.array([row + [yi + _dot(row, y)] for row, yi in zip(rows, y)]
-                    + [[0.0, 0.0, 0.0, 1.0]])
+    return _cay_pose(*_split(screw, _sigma))
+
+
+def _cay_pose(x, y, sig: float) -> np.ndarray:
+    """:func:`se3_cay` of the floats that :func:`_split` gives."""
+    (r0, r1, r2), (u, v, w) = _cay_rows(x, sig), y
+    return np.fromiter([*r0, u + _dot(r0, y), *r1, v + _dot(r1, y),
+                        *r2, w + _dot(r2, y), 0.0, 0.0, 0.0, 1.0],
+                       float, 16).reshape(4, 4)
 
 
 def se3_cay_inv(pose) -> np.ndarray:
     """Screw of a pose under the Cayley chart; rotation angle pi excluded."""
-    pose = np.asarray(pose, dtype=float)
-    if pose.shape != (4, 4):
-        raise ValueError(f"pose must be 4x4, got shape {pose.shape}")
+    pose = _as_pose(pose)
     rot = pose[:3, :3]
     x = so3_cay_inv(rot)
     _finite(pose[:3, 3].tolist(), "translation")
@@ -300,13 +310,17 @@ def se3_dcay(screw) -> np.ndarray:
 def se3_dcay_inv(screw) -> np.ndarray:
     """Inverse of :func:`se3_dcay`; value I/2 at X = 0.  Defined for every
     screw (the Cayley differential never degenerates)."""
-    x, y, _ = _split(screw, _sigma)
+    return _blocks66(*_dcay_inv_blocks(*_split(screw, _sigma)))
+
+
+def _dcay_inv_blocks(x, y, _sig: float) -> tuple:
+    """Rows of the three blocks of :func:`se3_dcay_inv` from the floats
+    that :func:`_split` gives; the map needs no sigma."""
     half_y = [0.5 * yi for yi in y]
     # (hat(x) - I) hat(y) / 2 = (y x^T - (x.y) I - hat(y)) / 2
-    return _blocks66(_dcay_inv_rows(x),
-                     _mat3([-hi for hi in half_y], -0.5 * _dot(x, y),
-                           (half_y, x)),
-                     _mat3([-0.5 * xi for xi in x], 0.5))
+    return (_dcay_inv_rows(x),
+            _mat3([-hi for hi in half_y], -0.5 * _dot(x, y), (half_y, x)),
+            _mat3([-0.5 * xi for xi in x], 0.5))
 
 
 def se3_ddcay(screw, dscrew) -> np.ndarray:

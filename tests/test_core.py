@@ -112,6 +112,7 @@ def test_is_rotation():
     reflection = np.diag([1.0, 1.0, -1.0])
     assert not is_rotation(reflection)
     assert not is_rotation(1.1 * np.eye(3))
+    assert not is_rotation(np.full((3, 3), np.nan))
 
 
 def test_shape_validation():

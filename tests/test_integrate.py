@@ -33,7 +33,7 @@ from liegroup_maps.integrate import (
     mk_rk4_step,
     varying_strain,
 )
-from liegroup_maps.se3 import se3_exp
+from liegroup_maps.se3 import se3_cay, se3_dcay_inv, se3_dexp_inv, se3_exp
 
 TWIST = np.array([0.3, -0.2, 0.4, 1.0, 0.5, -0.3])
 
@@ -53,8 +53,79 @@ def test_coordinate_map_aliases():
 
 
 def test_dmap_inv_at_zero_convention():
-    assert_allclose(exponential_map().dmap_inv(np.zeros(6)), np.eye(6))
-    assert_allclose(cayley_map().dmap_inv(np.zeros(6)), 0.5 * np.eye(6))
+    exp_zero = exponential_map().at(np.zeros(6))
+    cay_zero = cayley_map().at(np.zeros(6))
+    for frame in ("body", "spatial"):
+        assert_allclose(exp_zero.dmap_inv_matrix(frame), np.eye(6))
+        assert_allclose(cay_zero.dmap_inv_matrix(frame), 0.5 * np.eye(6))
+
+
+_POSE = se3_exp(np.array([0.3, -0.2, 0.5, 1.0, 2.0, -0.7]))
+_INF_TRANSLATION = np.eye(4)
+_INF_TRANSLATION[0, 3] = math.inf
+
+
+@pytest.mark.parametrize("bad, message", [
+    (np.diag([2.0, 2.0, 2.0, 1.0]), "must be finite and rigid"),
+    (np.full((4, 4), math.nan), "bottom row of initial pose"),
+    (_INF_TRANSLATION, "must be finite and rigid"),
+    (_POSE.T, "bottom row of initial pose"),
+    (np.eye(3), "initial pose must be a 4x4 matrix"),
+], ids=["scaled", "nan", "inf", "transposed", "3x3"])
+def test_integrate_rejects_a_non_rigid_initial_pose(bad, message):
+    # unchecked, a scaled rotation runs with orth_drift 3 on every row and
+    # an all-NaN start returns an all-NaN trajectory
+    problem = make_constant_twist_problem(initial_pose=bad)
+    with pytest.raises(ValueError, match=message):
+        integrate(problem, "mk_rk4", "exponential", 1e-2, 0.1)
+
+
+_CHART_MAPS = {"exponential": (se3_exp, se3_dexp_inv),
+               "cayley": (se3_cay, se3_dcay_inv)}
+
+
+@pytest.mark.parametrize("kind", sorted(_CHART_MAPS))
+def test_chart_point_matches_the_public_maps(kind):
+    # the point runs the row functions of the public maps: the same pose
+    # bits, the same operator bits as an array, and its float product with a
+    # twist within rounding of the array product
+    value, dmap_inv = _CHART_MAPS[kind]
+    cmap = coordinate_map(kind)
+    rng = np.random.default_rng(11)
+    for scale in (0.0, 1e-4, 3e-3, 0.05, 0.7, 2.5):
+        coords = scale * rng.standard_normal(6)
+        twist = rng.standard_normal(6)
+        point = cmap.at(coords)
+        assert np.array_equal(point.pose(), value(coords))
+        for frame, sign in (("body", -1.0), ("spatial", 1.0)):
+            operator = dmap_inv(sign * coords)
+            assert np.array_equal(point.dmap_inv_matrix(frame), operator)
+            want = operator @ twist
+            got = np.array(point.dmap_inv(twist, frame))
+            assert np.max(np.abs(got - want)) <= 4e-16 * np.max(np.abs(want))
+
+
+@pytest.mark.parametrize("kind, check", [("exponential", "_angle"),
+                                         ("cayley", "_sigma")])
+def test_rk4_step_checks_the_chart_once_per_point(kind, check, monkeypatch):
+    # stages two to four and the end of the step are the four chart points;
+    # the first stage sits at the origin, which is checked once per chart
+    calls = []
+    so3 = importlib.import_module("liegroup_maps.so3")
+    original = getattr(so3, check)
+
+    def counted(x):
+        calls.append(x)
+        return original(x)
+
+    for module in ("so3", "se3", "integrate"):
+        monkeypatch.setattr(importlib.import_module(f"liegroup_maps.{module}"),
+                            check, counted)
+    cmap = coordinate_map(kind)
+    problem = make_heavy_top_problem(momentum0=(3.0, -2.0, 4.0))
+    calls.clear()
+    mk_rk4_step(cmap, problem.field, np.eye(4), 0.0, 1e-3)
+    assert len(calls) == 4
 
 
 def test_twist_field_frame_validation():

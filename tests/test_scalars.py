@@ -287,6 +287,57 @@ def test_kernel_values_are_pinned():
     assert _kernel_digest() == _PINNED_DIGEST
 
 
+# the series table of each kernel row
+_KERNEL_TABLES = {
+    "_sinc": "_SINC_SERIES", "_sinc_sq_half": "_SINC_SQ_HALF_SERIES",
+    "_dexp_quad": "_DEXP_QUAD_SERIES",
+    "_dexp_lin_rate": "_DEXP_LIN_RATE_SERIES",
+    "_dexp_quad_rate": "_DEXP_QUAD_RATE_SERIES",
+    "_dexpinv_quad": "_DEXPINV_QUAD_SERIES",
+    "_dexpinv_quad_rate": "_DEXPINV_QUAD_RATE_SERIES",
+    "_dexp_lin_rate2": "_DEXP_LIN_RATE2_SERIES",
+    "_dexp_quad_rate2": "_DEXP_QUAD_RATE2_SERIES",
+    "_dexpinv_quad_rate2": "_DEXPINV_QUAD_RATE2_SERIES",
+    "_adform_quad": "_ADFORM_QUAD_SERIES",
+    "_adform_quart": "_ADFORM_QUART_SERIES",
+    "_inv_sinc": "_INV_SINC_SERIES",
+}
+
+
+def _band_grid():
+    """A dense grid of every band, plus both sides of each band edge."""
+    grid, low = [], 0.0
+    for edge in scalars._BANDS:
+        grid += np.linspace(low, edge, 1500, endpoint=False).tolist()
+        grid += np.geomspace(1e-3 * edge, edge, 300, endpoint=False).tolist()
+        below = math.nextafter(edge, 0.0)
+        grid += [below, edge, math.nextafter(edge, 1.0),
+                 edge * (1.0 - 1e-9), edge * (1.0 + 1e-9)]
+        low = edge
+    return grid
+
+
+def test_series_heads_return_the_full_table_double():
+    # each band runs Horner on a head of the table; on every band, on both
+    # sides of every cut and in every branch mode, the kernel returns the
+    # double of Horner on all 30 terms
+    assert sorted(_KERNEL_TABLES) == sorted(_PINNED_KERNELS)
+    grid = _band_grid()
+    for name, table_name in _KERNEL_TABLES.items():
+        table = getattr(scalars, table_name)
+        heads = [scalars._head(table, edge) for edge in scalars._BANDS]
+        assert len(heads[0]) <= len(heads[1]) <= len(heads[2]) < 30
+        kernel = getattr(scalars, name)
+        for mode in (None, "series", "closed"):
+            with force_branch(mode) if mode else contextlib.nullcontext():
+                for phi in grid:
+                    if (name in ("_sinc", "_sinc_sq_half")
+                            and not scalars._seam_use_series(phi)):
+                        continue        # the closed branch: no table
+                    assert kernel(phi) == scalars._poly_even(table, phi), (
+                        name, mode, phi)
+
+
 @pytest.mark.parametrize("mode", [None, "series", "closed"])
 @pytest.mark.parametrize("phi", [math.nan, math.inf])
 def test_non_finite_angle_raises_domain_error(phi, mode):

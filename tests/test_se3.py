@@ -97,6 +97,24 @@ def test_log_of_identity():
     assert_allclose(se3_log(np.eye(4)), np.zeros(6))
 
 
+def test_log_rejects_nan_rotation_block():
+    # a ValueError, not the RuntimeWarning of a determinant of NaNs
+    pose = np.eye(4)
+    pose[:3, :3] = math.nan
+    with pytest.raises(ValueError, match="proper rotation"):
+        se3_log(pose)
+
+
+@pytest.mark.parametrize("inverse", [se3_log, se3_cay_inv])
+def test_inverse_maps_check_the_bottom_row(inverse):
+    # the transpose moves the translation into the bottom row; the rotation
+    # block alone would give the screw of the bare rotation
+    pose = se3_exp(np.array([0.3, -0.2, 0.5, 1.0, 2.0, -0.7]))
+    for bad in (pose.T, np.full((4, 4), math.nan)):
+        with pytest.raises(ValueError, match="bottom row of pose"):
+            inverse(bad)
+
+
 def test_dexp_matches_series_in_adjoint():
     for _ in range(200):
         s = random_screw()

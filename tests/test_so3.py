@@ -121,6 +121,12 @@ def test_log_rejects_non_rotation():
         so3_log(1.5 * np.eye(3))
 
 
+def test_log_rejects_nan_matrix():
+    # a ValueError, not the RuntimeWarning of a determinant of NaNs
+    with pytest.raises(ValueError, match="proper rotation"):
+        so3_log(np.full((3, 3), math.nan))
+
+
 def test_dexp_matches_series_oracle():
     for _ in range(200):
         x = random_rotvec()
@@ -267,6 +273,11 @@ def test_cay_inv_rejects_half_turn():
     r = so3_exp([0.0, 0.0, math.pi])
     with pytest.raises(ChartDomainError, match="Cayley chart boundary"):
         so3_cay_inv(r)
+
+
+def test_cay_inv_rejects_nan_matrix():
+    with pytest.raises(ValueError, match="proper rotation"):
+        so3_cay_inv(np.full((3, 3), math.nan))
 
 
 def test_dcay_unhalved_at_zero():
