@@ -73,10 +73,8 @@ def _as_pose(m, name: str = "pose", corner: float = 1.0) -> np.ndarray:
 def _finite(values, name: str) -> None:
     """ChartDomainError naming ``name`` unless every entry of the float
     sequence ``values`` is finite; entry by entry, so no sum can overflow."""
-    for value in values:
-        if not math.isfinite(value):
-            raise ChartDomainError(
-                f"{name} must be finite, got {list(values)!r}")
+    if not all(map(math.isfinite, values)):
+        raise ChartDomainError(f"{name} must be finite, got {list(values)!r}")
 
 
 def _dot(a, b) -> float:

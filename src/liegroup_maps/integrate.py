@@ -7,10 +7,9 @@ the step closes with ``C <- C @ map(X_h)`` (body) or ``C <- map(X_h) @ C``
 (spatial).  The pose is always a product of exact group elements, so
 orthonormality is preserved to rounding regardless of step size.
 
-Every stepper reaches the chart through points, ``cmap.at(coords)``: a
-point parses and chart-checks its coordinates once, gives the local pose
-``map(X)`` and applies ``dmap_inv(-X)`` or ``dmap_inv(X)`` to a twist on
-floats, by the row functions of the public ``se3`` maps.
+Every stepper reaches the chart through points, ``cmap.at(X)``, which
+chart-check ``X`` once, give ``map(X)`` and apply ``dmap_inv(-X)`` or
+``dmap_inv(X)`` to a twist on floats by the rows of the ``se3`` maps.
 
 Three steppers are provided: a classical RK4 run through the chart, a
 piecewise rule that freezes the field at the step midpoint (beams use it in
@@ -23,6 +22,7 @@ Runs extrapolate Newton's start and carry the inverse matrix between steps.
 
 from __future__ import annotations
 
+import functools
 import math
 import operator
 from dataclasses import dataclass, field as dataclass_field
@@ -39,7 +39,6 @@ from .so3 import _angle, _sigma
 
 _FRAMES = ("body", "spatial")
 _ZERO3 = (0.0, 0.0, 0.0)
-_ZERO6 = (0.0,) * 6
 _FD_STEP = 1e-7     # forward-difference step of the field Jacobian fallback
 
 DEFAULT_CONSTANT_TWIST = np.array([0.3, -0.2, 0.4, 1.0, 0.5, -0.3])
@@ -70,10 +69,9 @@ class IntegrationError(RuntimeError):
 
 
 class ChartPoint:
-    """A chart point: ``cmap.at(coords)``, or ``ChartPoint(cmap, floats)``
-    for the list of 6 floats a stepper builds.  The chart check and the
-    finite-translation check run once; at the origin the composition is
-    skipped and the operator rows are built with the point."""
+    """A point of a chart, made by :meth:`CoordinateMap.at`: the chart check
+    and the finite-translation check run once; at the origin the composition
+    is skipped and the operator rows are built with the point."""
 
     __slots__ = ("_cmap", "_x", "_y", "_k", "_origin_rows")
 
@@ -96,11 +94,10 @@ class ChartPoint:
     def _rows(self, frame: str) -> tuple:
         if self._origin_rows:
             return self._origin_rows
-        x, y = self._x, self._y
         if frame == "body":
-            (a, b, c), (u, v, w) = x, y
-            x, y = [-a, -b, -c], [-u, -v, -w]
-        return self._cmap.dmap_inv_rows(x, y, self._k)
+            return self._cmap.dmap_inv_rows([-v for v in self._x],
+                                            [-v for v in self._y], self._k)
+        return self._cmap.dmap_inv_rows(self._x, self._y, self._k)
 
     def dmap_inv(self, twist, frame: str) -> list:
         """The coordinate rate of a twist in ``frame`` as floats, with no
@@ -141,15 +138,17 @@ class CoordinateMap:
     dmap_inv_rows: Callable[..., tuple]
     dmap: Callable[[np.ndarray], np.ndarray]
     ddmap_inv_tangent: Callable[[np.ndarray, np.ndarray], np.ndarray]
-    origin: ChartPoint = dataclass_field(init=False, repr=False,
-                                         compare=False)
-
-    def __post_init__(self):
-        object.__setattr__(self, "origin", self.at(_ZERO6))
 
     def at(self, coords) -> ChartPoint:
-        """The chart point at a 6-vector of coordinates."""
-        return ChartPoint(self, _as_vec(coords, 6, "coords").tolist())
+        """The chart point at a 6-vector of coordinates; a list of 6 floats,
+        as the steppers build it, is taken as it is."""
+        if type(coords) is not list or len(coords) != 6:
+            coords = _as_vec(coords, 6, "coords").tolist()
+        return ChartPoint(self, coords)
+
+    @functools.cached_property
+    def origin(self) -> ChartPoint:
+        return self.at([0.0] * 6)
 
 
 def exponential_map() -> CoordinateMap:
@@ -322,7 +321,7 @@ def mk_rk4_step(cmap: CoordinateMap, field: TwistField, pose: np.ndarray,
                 np.asarray(aux_rate, dtype=float).tolist())
 
     def stage(tau, scale, kx, kz):
-        return rate(tau, ChartPoint(cmap, [scale * k for k in kx]),
+        return rate(tau, cmap.at([scale * k for k in kx]),
                     np.array([z + scale * k for z, k in zip(z0, kz)]))
 
     half = 0.5 * h
@@ -336,7 +335,7 @@ def mk_rk4_step(cmap: CoordinateMap, field: TwistField, pose: np.ndarray,
               for a, b, c, d in zip(k1x, k2x, k3x, k4x)]
     aux_next = np.array([z + sixth * (a + 2.0 * b + 2.0 * c + d)
                          for z, a, b, c, d in zip(z0, k1z, k2z, k3z, k4z)])
-    return StepResult(ChartPoint(cmap, coords).compose(pose, frame), aux_next,
+    return StepResult(cmap.at(coords).compose(pose, frame), aux_next,
                       np.array(coords))
 
 
@@ -481,7 +480,7 @@ def _piecewise_step(cmap: CoordinateMap, field: TwistField, pose: np.ndarray,
     field sees the pose and auxiliary state at the start of the step."""
     twist, aux_rate = field.rate(t + 0.5 * h, pose, aux)
     coords = [h * r for r in cmap.origin.dmap_inv(twist, field.frame)]
-    return StepResult(ChartPoint(cmap, coords).compose(pose, field.frame),
+    return StepResult(cmap.at(coords).compose(pose, field.frame),
                       aux + h * np.asarray(aux_rate, dtype=float),
                       np.array(coords))
 

@@ -11,8 +11,8 @@ and a window -- and one branch rule, :func:`_kernel`, evaluates every row:
 
 * an even 30-term Taylor polynomial in s = phi**2 below the window, whose
   coefficients are derived at import from exact rationals and rounded once
-  to double precision; below 1e-3, 1e-2 and 1e-1 Horner runs only on a head
-  of the table that returns the same double, and
+  to double precision; below ``_HEAD_EDGE`` Horner runs only on a head of
+  the table that returns the same double, and
 * a cancellation-free trigonometric expression above it.
 
 alpha and beta switch at the official small-angle seam
@@ -181,13 +181,15 @@ def _poly_even(coeffs, phi: float) -> float:
     return acc
 
 
-_BANDS = (1e-3, 1e-2, 1e-1)     # upper edges of the small-angle bands
+# The series head covers the angles of one integrator stage: RK4 at h = 1e-3
+# on the heavy tops of the benchmark ensembles stays below it.
+_HEAD_EDGE = 1e-2
 
 
-def _head(series, edge: float) -> tuple:
-    """The shortest head of ``series`` whose dropped tail at phi = edge is
-    below 2**-100 |series[0]|, 2**47 times below the last bit of the sum."""
-    s, bound = edge * edge, math.ldexp(abs(series[0]), -100)
+def _head(series) -> tuple:
+    """The shortest head of ``series`` whose dropped tail at ``_HEAD_EDGE``
+    is below 2**-100 |series[0]|, 2**47 times below the last bit of the sum."""
+    s, bound = _HEAD_EDGE * _HEAD_EDGE, math.ldexp(abs(series[0]), -100)
     n, tail = len(series), 0.0
     while n > 1 and tail + abs(series[n - 1]) * s ** (n - 1) < bound:
         n -= 1
@@ -199,20 +201,16 @@ def _kernel(series, window=SERIES_WINDOW):
     """Decorate a closed form into a kernel row; the one branch rule.
 
     Horner on ``series`` below ``window`` (the force_branch-aware seam if
-    None), on the head of :func:`_head` inside each of the ``_BANDS``, the
-    closed form above it, ChartDomainError for a non-finite angle.
+    None), on the head of :func:`_head` below ``_HEAD_EDGE``, the closed
+    form above the window, ChartDomainError for a non-finite angle.
     """
-    near, mid, far = (_head(series, edge) for edge in _BANDS)
-    near_edge, mid_edge, far_edge = _BANDS
+    head = _head(series)
 
     def row(closed):
         @functools.wraps(closed)
         def kernel(phi: float) -> float:
             if (phi < window) if window is not None else _seam_use_series(phi):
-                if phi < far_edge:
-                    return _poly_even(near if phi < near_edge else
-                                      mid if phi < mid_edge else far, phi)
-                return _poly_even(series, phi)
+                return _poly_even(head if phi < _HEAD_EDGE else series, phi)
             if phi < math.inf:
                 return closed(phi)
             raise ChartDomainError(

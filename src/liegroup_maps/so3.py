@@ -67,8 +67,7 @@ _CAY_TRACE_GUARD = 1e-6
 def _angle(x) -> float:
     """|x| of a rotation vector given as floats, the one place the exponential
     chart takes the angle; ChartDomainError if |x|**2 is not finite."""
-    a, b, c = x
-    phi_sq = a * a + b * b + c * c
+    phi_sq = _dot(x, x)
     if not math.isfinite(phi_sq):
         raise ChartDomainError(
             f"rotation angle must be finite, got |x|**2 = {phi_sq}: a "
@@ -238,8 +237,7 @@ def so3_ddexp_inv(rotvec, direction) -> np.ndarray:
 def _sigma(g) -> float:
     """:func:`sigma` of a Gibbs vector given as floats; also the chart check
     of the maps that need no sigma."""
-    a, b, c = g
-    g_sq = a * a + b * b + c * c
+    g_sq = _dot(g, g)
     if not math.isfinite(g_sq):
         raise ChartDomainError(
             f"Cayley chart needs a finite |g|**2, got {g_sq}: a component "

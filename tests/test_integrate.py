@@ -123,6 +123,7 @@ def test_rk4_step_checks_the_chart_once_per_point(kind, check, monkeypatch):
                             check, counted)
     cmap = coordinate_map(kind)
     problem = make_heavy_top_problem(momentum0=(3.0, -2.0, 4.0))
+    assert cmap.origin is cmap.origin and len(calls) == 1
     calls.clear()
     mk_rk4_step(cmap, problem.field, np.eye(4), 0.0, 1e-3)
     assert len(calls) == 4

@@ -304,29 +304,19 @@ _KERNEL_TABLES = {
 }
 
 
-def _band_grid():
-    """A dense grid of every band, plus both sides of each band edge."""
-    grid, low = [], 0.0
-    for edge in scalars._BANDS:
-        grid += np.linspace(low, edge, 1500, endpoint=False).tolist()
-        grid += np.geomspace(1e-3 * edge, edge, 300, endpoint=False).tolist()
-        below = math.nextafter(edge, 0.0)
-        grid += [below, edge, math.nextafter(edge, 1.0),
-                 edge * (1.0 - 1e-9), edge * (1.0 + 1e-9)]
-        low = edge
-    return grid
-
-
 def test_series_heads_return_the_full_table_double():
-    # each band runs Horner on a head of the table; on every band, on both
-    # sides of every cut and in every branch mode, the kernel returns the
-    # double of Horner on all 30 terms
+    # below _HEAD_EDGE Horner runs on a head of the table; on a dense grid of
+    # the band, on both sides of its edge and in every branch mode, the kernel
+    # returns the double of Horner on all 30 terms
     assert sorted(_KERNEL_TABLES) == sorted(_PINNED_KERNELS)
-    grid = _band_grid()
+    edge = scalars._HEAD_EDGE
+    grid = (np.linspace(0.0, edge, 4500, endpoint=False).tolist()
+            + np.geomspace(1e-6 * edge, edge, 900, endpoint=False).tolist()
+            + [math.nextafter(edge, 0.0), edge, math.nextafter(edge, 1.0),
+               edge * (1.0 - 1e-9), edge * (1.0 + 1e-9), 2.0 * edge])
     for name, table_name in _KERNEL_TABLES.items():
         table = getattr(scalars, table_name)
-        heads = [scalars._head(table, edge) for edge in scalars._BANDS]
-        assert len(heads[0]) <= len(heads[1]) <= len(heads[2]) < 30
+        assert len(scalars._head(table)) < 30
         kernel = getattr(scalars, name)
         for mode in (None, "series", "closed"):
             with force_branch(mode) if mode else contextlib.nullcontext():
