@@ -219,15 +219,14 @@ class Problem:
 @dataclass(frozen=True)
 class StepResult:
     """One accepted step: new pose, new auxiliary state, chart increment;
-    an implicit-midpoint step adds its Newton updates, the residual before
-    each and the inverse Newton matrix that served the last one, if any."""
+    an implicit-midpoint step adds its Newton updates and the residual
+    before each."""
 
     pose: np.ndarray
     aux: np.ndarray
     coords: np.ndarray
     iterations: int = 0
     residuals: tuple = ()
-    newton_inverse: np.ndarray | None = None
 
 
 @dataclass(frozen=True)
@@ -235,10 +234,8 @@ class Trajectory:
     """Uniformly sampled motion with per-sample invariant records.
 
     ``newton_iterations`` holds one count per step: the Newton updates of an
-    implicit-midpoint step, 0 for explicit and piecewise steps.  Each
-    implicit-midpoint step after the first starts Newton from an
-    extrapolation of the previous steps' solutions, so its count is 0 when
-    that start already meets the tolerance.
+    implicit-midpoint step, 0 when its warm start (:func:`_midpoint`)
+    already meets the tolerance, and 0 for explicit and piecewise steps.
     """
 
     times: np.ndarray
@@ -289,54 +286,52 @@ def _step_count(h: float, t_end: float) -> int:
     return round(ratio)
 
 
-def _shaped(name: str, value, shape: tuple) -> np.ndarray:
-    out = np.array(value, dtype=float)
-    if out.shape != shape:
-        raise ValueError(f"{name} must have shape {shape}, got {out.shape}")
-    return out
-
-
 def _field_aux(field: TwistField, aux) -> np.ndarray:
-    if aux is None:
-        return field.aux0.copy()
-    return np.asarray(aux, dtype=float).copy()
+    return np.array(field.aux0 if aux is None else aux, dtype=float)
+
+
+def _rk4(cmap: CoordinateMap, field: TwistField, h: float, *_):
+    """Classical RK4 run through the chart; takes no Newton settings.
+
+    The chart coordinates restart at zero each step; auxiliary state is
+    co-integrated with the same tableau.  Each stage is one chart point,
+    and the stage sums run on floats.  A step raises ChartDomainError if an
+    internal stage leaves the chart.
+    """
+    frame, half, sixth = field.frame, 0.5 * h, h / 6.0
+
+    def advance(pose: np.ndarray, t: float, aux: np.ndarray) -> StepResult:
+        z0 = aux.tolist()
+
+        def rate(tau, point, z):
+            twist, aux_rate = field.rate(tau, point.compose(pose, frame), z)
+            return (point.dmap_inv(twist, frame),
+                    np.asarray(aux_rate, dtype=float).tolist())
+
+        def stage(tau, scale, kx, kz):
+            return rate(tau, cmap.at([scale * k for k in kx]),
+                        np.array([z + scale * k for z, k in zip(z0, kz)]))
+
+        k1x, k1z = rate(t, cmap.origin, aux)
+        k2x, k2z = stage(t + half, half, k1x, k1z)
+        k3x, k3z = stage(t + half, half, k2x, k2z)
+        k4x, k4z = stage(t + h, h, k3x, k3z)
+
+        coords = [sixth * (a + 2.0 * b + 2.0 * c + d)
+                  for a, b, c, d in zip(k1x, k2x, k3x, k4x)]
+        aux_next = np.array([z + sixth * (a + 2.0 * b + 2.0 * c + d) for
+                             z, a, b, c, d in zip(z0, k1z, k2z, k3z, k4z)])
+        return StepResult(cmap.at(coords).compose(pose, frame), aux_next,
+                          np.array(coords))
+
+    return advance
 
 
 def mk_rk4_step(cmap: CoordinateMap, field: TwistField, pose: np.ndarray,
                 t: float, h: float, aux=None) -> StepResult:
-    """Advance one step of classical RK4 run through the chart.
-
-    The chart coordinates restart at zero each step; auxiliary state is
-    co-integrated with the same tableau.  Each stage is one chart point,
-    and the stage sums run on floats.  Raises ChartDomainError if an
-    internal stage leaves the chart.
-    """
+    """Advance one classical RK4 step through the chart (:func:`_rk4`)."""
     _require_finite_positive("step size", h)
-    aux = _field_aux(field, aux)
-    frame, z0 = field.frame, aux.tolist()
-
-    def rate(tau, point, z):
-        twist, aux_rate = field.rate(tau, point.compose(pose, frame), z)
-        return (point.dmap_inv(twist, frame),
-                np.asarray(aux_rate, dtype=float).tolist())
-
-    def stage(tau, scale, kx, kz):
-        return rate(tau, cmap.at([scale * k for k in kx]),
-                    np.array([z + scale * k for z, k in zip(z0, kz)]))
-
-    half = 0.5 * h
-    k1x, k1z = rate(t, cmap.origin, aux)
-    k2x, k2z = stage(t + half, half, k1x, k1z)
-    k3x, k3z = stage(t + half, half, k2x, k2z)
-    k4x, k4z = stage(t + h, h, k3x, k3z)
-
-    sixth = h / 6.0
-    coords = [sixth * (a + 2.0 * b + 2.0 * c + d)
-              for a, b, c, d in zip(k1x, k2x, k3x, k4x)]
-    aux_next = np.array([z + sixth * (a + 2.0 * b + 2.0 * c + d)
-                         for z, a, b, c, d in zip(z0, k1z, k2z, k3z, k4z)])
-    return StepResult(cmap.at(coords).compose(pose, frame), aux_next,
-                      np.array(coords))
+    return _rk4(cmap, field, h)(pose, t, _field_aux(field, aux))
 
 
 def _midpoint_residual(cmap: CoordinateMap, field: TwistField,
@@ -417,75 +412,107 @@ def _midpoint_jacobian(cmap: CoordinateMap, field: TwistField, t: float,
     return jacobian
 
 
-def implicit_midpoint_step(cmap: CoordinateMap, field: TwistField,
-                           pose: np.ndarray, t: float, h: float, aux=None,
-                           newton_tol: float = 1e-12, max_iters: int = 20,
-                           guess=None, newton_inverse=None) -> StepResult:
-    """Advance one implicit-midpoint step, solving the chart equation by Newton.
+def _midpoint_start(history: list, aux: np.ndarray) -> np.ndarray:
+    """Newton's start for the next implicit-midpoint step from the stacked
+    states (increment, end-of-step aux) of the last one to three steps,
+    newest last: ``3 (s_n - s_{n-1}) + s_{n-2}``, the linear extrapolation
+    after two steps, and after one the increment with the aux state moved
+    on from ``aux``, where the step started, by its change."""
+    newest = history[-1]
+    previous = (history[-2] if len(history) > 1
+                else np.concatenate([newest[:6], aux]))
+    if len(history) < 3:
+        return newest + (newest - previous)
+    return 3.0 * (newest - previous) + history[-3]
+
+
+def _midpoint(cmap: CoordinateMap, field: TwistField, h: float,
+              newton_tol: float, max_iters: int):
+    """Implicit midpoint rule, solving the chart equation by Newton.
 
     The midpoint pose is reached through half the chart increment; the
-    chart operator is evaluated at the full increment.  Newton starts from
-    ``guess``, the chart increment stacked with the end-of-step auxiliary
-    state (a zero increment and ``aux`` if None); a start that already meets
-    ``newton_tol`` takes no update.  A given ``newton_inverse`` serves the
-    first update (a stale one can cost an extra update); every other
-    update inverts the Newton matrix assembled at its iterate.  Raises
-    ValueError for a guess not of shape ``(n,)``, ``n = 6 + aux.size``, or
-    an inverse not of shape ``(n, n)``, and NewtonConvergenceError as soon
-    as the residual is non-finite, or when it fails to drop below
+    chart operator is evaluated at the full increment.  The first step
+    starts cold, from a zero increment and the current auxiliary state;
+    later ones start from an extrapolation of the previous steps' solutions
+    (:func:`_midpoint_start`).  A start that meets ``newton_tol`` takes no
+    update.  A step's first update reuses the inverse Newton matrix of the
+    previous step's last update (a stale one can cost an extra update);
+    every other update inverts the matrix assembled at its iterate.  Raises
+    ValueError unless ``max_iters`` is an int >= 0 and ``newton_tol`` is
+    finite and positive; a step raises NewtonConvergenceError as soon as
+    the residual is non-finite, or when it fails to drop below
     ``newton_tol`` within ``max_iters`` updates.
     """
+    if not (isinstance(max_iters, (int, np.integer)) and max_iters >= 0):
+        raise ValueError("the Newton iteration limit must be an int >= 0")
+    _require_finite_positive("Newton tolerance", newton_tol)
+    start = inverse = None
+    history = []
+
+    def advance(pose: np.ndarray, t: float, aux: np.ndarray) -> StepResult:
+        nonlocal start, inverse, history
+        state = np.concatenate([np.zeros(6), aux]) if start is None else start
+        residuals = []
+        for iteration in range(max_iters + 1):
+            (residual, twist, aux_rate, mid_pose,
+             point) = _midpoint_residual(cmap, field, pose, t, h, aux, state)
+            res_norm = _max_abs(residual.tolist())
+            residuals.append(res_norm)
+            if not math.isfinite(res_norm):
+                raise NewtonConvergenceError(
+                    f"implicit midpoint Newton iteration hit a non-finite "
+                    f"residual ({res_norm}) after {iteration} updates",
+                    res_norm)
+            if res_norm < newton_tol:
+                break
+            if iteration == max_iters:
+                raise NewtonConvergenceError(
+                    f"implicit midpoint Newton iteration did not reach "
+                    f"{newton_tol:g} in {max_iters} updates "
+                    f"(last residual {res_norm:.3e})", res_norm)
+            if iteration or inverse is None:
+                inverse = np.linalg.inv(_midpoint_jacobian(
+                    cmap, field, t, h, aux, state, twist, aux_rate, mid_pose,
+                    point))
+            state = state - inverse @ residual
+        history = history[-2:] + [state]
+        start = _midpoint_start(history, aux)
+        return StepResult(point.compose(pose, field.frame), state[6:],
+                          state[:6], iteration, tuple(residuals))
+
+    return advance
+
+
+def implicit_midpoint_step(cmap: CoordinateMap, field: TwistField,
+                           pose: np.ndarray, t: float, h: float, aux=None,
+                           newton_tol: float = 1e-12,
+                           max_iters: int = 20) -> StepResult:
+    """Advance one cold, full-Newton step of :func:`_midpoint`."""
     _require_finite_positive("step size", h)
-    aux = _field_aux(field, aux)
-    size = 6 + aux.size
-    state = (np.concatenate([np.zeros(6), aux]) if guess is None
-             else _shaped("guess", guess, (size,)))
-    inverse = (None if newton_inverse is None
-               else _shaped("newton_inverse", newton_inverse, (size, size)))
-    residuals = []
-    for iteration in range(max_iters + 1):
-        (residual, twist, aux_rate, mid_pose,
-         point) = _midpoint_residual(cmap, field, pose, t, h, aux, state)
-        res_norm = _max_abs(residual.tolist())
-        residuals.append(res_norm)
-        if not math.isfinite(res_norm):
-            raise NewtonConvergenceError(
-                f"implicit midpoint Newton iteration hit a non-finite "
-                f"residual ({res_norm}) after {iteration} updates",
-                res_norm,
-            )
-        if res_norm < newton_tol:
-            return StepResult(point.compose(pose, field.frame), state[6:],
-                              state[:6], iteration, tuple(residuals), inverse)
-        if iteration == max_iters:
-            raise NewtonConvergenceError(
-                f"implicit midpoint Newton iteration did not reach "
-                f"{newton_tol:g} in {max_iters} updates "
-                f"(last residual {res_norm:.3e})",
-                res_norm,
-            )
-        if iteration or inverse is None:
-            inverse = np.linalg.inv(_midpoint_jacobian(
-                cmap, field, t, h, aux, state, twist, aux_rate, mid_pose,
-                point))
-        state = state - inverse @ residual
-    raise AssertionError("unreachable")
+    return _midpoint(cmap, field, h, newton_tol, max_iters)(
+        pose, t, _field_aux(field, aux))
 
 
-def _piecewise_step(cmap: CoordinateMap, field: TwistField, pose: np.ndarray,
-                    t: float, h: float, aux: np.ndarray) -> StepResult:
-    """Advance one step with the field frozen at the step midpoint: the
-    increment is ``h * dmap_inv(0) @ twist(t + h/2)``, consistent for every
-    chart convention, and the auxiliary state moves by ``h * aux_rate``.  The
+def _piecewise(cmap: CoordinateMap, field: TwistField, h: float, *_):
+    """The field frozen at the step midpoint: the increment is
+    ``h * dmap_inv(0) @ twist(t + h/2)``, consistent for every chart
+    convention, and the auxiliary state moves by ``h * aux_rate``.  The
     field sees the pose and auxiliary state at the start of the step."""
-    twist, aux_rate = field.rate(t + 0.5 * h, pose, aux)
-    coords = [h * r for r in cmap.origin.dmap_inv(twist, field.frame)]
-    return StepResult(cmap.at(coords).compose(pose, field.frame),
-                      aux + h * np.asarray(aux_rate, dtype=float),
-                      np.array(coords))
+
+    def advance(pose: np.ndarray, t: float, aux: np.ndarray) -> StepResult:
+        twist, aux_rate = field.rate(t + 0.5 * h, pose, aux)
+        coords = [h * r for r in cmap.origin.dmap_inv(twist, field.frame)]
+        return StepResult(cmap.at(coords).compose(pose, field.frame),
+                          aux + h * np.asarray(aux_rate, dtype=float),
+                          np.array(coords))
+
+    return advance
 
 
-_METHODS = ("mk_rk4", "implicit_midpoint", "piecewise")
+# stepper(cmap, field, h, newton_tol, max_iters) -> advance(pose, t, aux)
+_STEPPERS = {"mk_rk4": _rk4, "implicit_midpoint": _midpoint,
+             "piecewise": _piecewise}
+_METHODS = tuple(_STEPPERS)
 
 
 # ---------------------------------------------------------------------------
@@ -508,20 +535,6 @@ def _orth_drift(pose: np.ndarray) -> float:
                      _dot(c1, c2)])
 
 
-def _midpoint_start(history: list, aux: np.ndarray) -> np.ndarray:
-    """Newton's start for the next implicit-midpoint step from the stacked
-    states (increment, end-of-step aux) of the last one to three steps,
-    newest last: ``3 (s_n - s_{n-1}) + s_{n-2}``, the linear extrapolation
-    after two steps, and after one the increment with the aux state moved
-    on from ``aux``, where the step started, by its change."""
-    newest = history[-1]
-    previous = (history[-2] if len(history) > 1
-                else np.concatenate([newest[:6], aux]))
-    if len(history) < 3:
-        return newest + (newest - previous)
-    return 3.0 * (newest - previous) + history[-3]
-
-
 def integrate(problem: Problem, method: str = "mk_rk4",
               map_kind="exponential", h: float = 1e-3, t_end: float = 1.0,
               newton_tol: float = 1e-12,
@@ -531,18 +544,15 @@ def integrate(problem: Problem, method: str = "mk_rk4",
     The run takes ``n = max(1, round(t_end / h))`` steps of ``t_end / n``, so
     it always ends at ``t_end``; ``Trajectory.step`` is the step taken, and
     a ratio ``t_end / h`` above :data:`MAX_STEPS` raises ValueError, as does
-    an initial pose that is not a finite, rigid 4x4 pose.
-    Implicit-midpoint Newton starts from an extrapolation of the previous
-    steps' solutions (:func:`_midpoint_start`), and its first update reuses
-    the inverse Newton matrix of the previous step's last update; the first
-    step starts cold, from a zero increment and the current auxiliary state.
-    On a failed step (chart domain violation or Newton breakdown) raises
-    IntegrationError carrying the partial trajectory accumulated so far.
+    an initial pose that is not a finite, rigid 4x4 pose.  The method's
+    stepper (:data:`_STEPPERS`) is built once per run and carries its state
+    between steps; the Newton settings serve the implicit midpoint only
+    (:func:`_midpoint`).  A failed step (chart domain violation or Newton
+    breakdown) raises IntegrationError carrying the trajectory so far.
     """
-    if method not in _METHODS:
-        raise ValueError(
-            f"unknown method {method!r}; expected one of {_METHODS}"
-        )
+    if method not in _STEPPERS:
+        raise ValueError(f"unknown method {method!r}; expected one of "
+                         f"{_METHODS}")
     _require_finite_positive("step size and end time", h, t_end)
     pose = _as_pose(problem.initial_pose, "initial pose")
     if not (np.isfinite(pose).all() and is_rotation(pose[:3, :3])):
@@ -551,6 +561,7 @@ def integrate(problem: Problem, method: str = "mk_rk4",
     field = problem.field
     n_steps = max(1, _step_count(h, t_end))
     h = t_end / n_steps
+    advance = _STEPPERS[method](cmap, field, h, newton_tol, max_newton_iters)
 
     names = tuple(problem.invariants)
     times, poses, auxes, orth, values, iterations = [], [], [], [], [], []
@@ -578,24 +589,11 @@ def integrate(problem: Problem, method: str = "mk_rk4",
         )
 
     aux = field.aux0.copy()
-    guess = newton_inverse = None
-    history = []
     record(0.0, pose, aux)
     for k in range(n_steps):
         t = k * h
         try:
-            if method == "implicit_midpoint":
-                result = implicit_midpoint_step(
-                    cmap, field, pose, t, h, aux,
-                    newton_tol=newton_tol, max_iters=max_newton_iters,
-                    guess=guess, newton_inverse=newton_inverse)
-                newton_inverse = result.newton_inverse
-                history = history[-2:] + [np.append(result.coords, result.aux)]
-                guess = _midpoint_start(history, aux)
-            elif method == "piecewise":
-                result = _piecewise_step(cmap, field, pose, t, h, aux)
-            else:
-                result = mk_rk4_step(cmap, field, pose, t, h, aux)
+            result = advance(pose, t, aux)
         except (ChartDomainError, NewtonConvergenceError) as err:
             raise IntegrationError(
                 f"step {k + 1} of {n_steps} (t={t:.6g}) failed: {err}",
@@ -642,7 +640,8 @@ def make_heavy_top_problem(inertia=(2.0, 2.0, 1.0), mgl: float = 1.0,
     the momentum component about the spatial vertical.
     """
     inertia = np.asarray(inertia, dtype=float)
-    if inertia.shape != (3,) or np.any(inertia <= 0.0):
+    if inertia.shape != (3,) or not all(0.0 < i < math.inf
+                                        for i in inertia.tolist()):
         raise ValueError("inertia must be three positive principal moments")
     chi = np.asarray(chi, dtype=float)
     momentum0 = np.asarray(momentum0, dtype=float)

@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import importlib
 import math
 
@@ -15,7 +16,6 @@ from liegroup_maps.integrate import (
     TwistField,
     _midpoint_jacobian,
     _midpoint_residual,
-    _midpoint_start,
     _orth_drift,
     _step_count,
     beam_reconstruct,
@@ -365,22 +365,6 @@ def test_midpoint_trajectory_records_newton_iterations():
     assert iterations.shape == (10,)
     assert iterations.dtype.kind == "i"
     assert np.all(iterations >= 1)
-    # replay the chain through the public step with integrate's starts and
-    # carried Newton inverses
-    pose, aux = trajectory.poses[0], trajectory.aux[0]
-    guess = inverse = None
-    history = []
-    for k, t in enumerate(trajectory.times[:-1]):
-        step = implicit_midpoint_step(cayley_map(), problem.field, pose, t,
-                                      0.05, aux, guess=guess,
-                                      newton_inverse=inverse)
-        assert step.iterations == iterations[k]
-        np.testing.assert_array_equal(step.pose, trajectory.poses[k + 1])
-        np.testing.assert_array_equal(step.aux, trajectory.aux[k + 1])
-        inverse = step.newton_inverse
-        history = history[-2:] + [np.concatenate([step.coords, step.aux])]
-        guess = _midpoint_start(history, aux)
-        pose, aux = step.pose, step.aux
 
 
 @pytest.mark.parametrize("kind", ["exponential", "cayley"])
@@ -450,35 +434,69 @@ def test_reused_newton_matrix_on_a_moving_translation(kind, h,
         assert np.max(np.abs(pose - warm.poses[k + 1])) <= 5e-10
 
 
-def test_midpoint_newton_inverse_shape_and_stale_start():
-    field = make_heavy_top_problem().field
-    for bad in (np.eye(6), np.eye(10), np.zeros((9, 1)), np.zeros(81)):
-        with pytest.raises(ValueError, match="newton_inverse must have shape"):
-            implicit_midpoint_step(cayley_map(), field, np.eye(4), 0.0, 0.05,
-                                   newton_inverse=bad)
-    cold = implicit_midpoint_step(cayley_map(), field, np.eye(4), 0.0, 0.05)
-    # the identity serves the first update only; the rest reassemble
-    stale = implicit_midpoint_step(cayley_map(), field, np.eye(4), 0.0, 0.05,
-                                   newton_inverse=np.eye(9))
-    assert stale.residuals[-1] < 1e-12
-    assert np.max(np.abs(stale.pose - cold.pose)) <= 1e-10
-    assert np.max(np.abs(stale.aux - cold.aux)) <= 1e-10
-    assert stale.newton_inverse is not None
+@pytest.mark.parametrize("name, value", [
+    ("max_newton_iters", -1), ("max_newton_iters", 2.5),
+    ("max_newton_iters", "20"), ("newton_tol", math.nan),
+    ("newton_tol", 0.0), ("newton_tol", -1.0), ("newton_tol", math.inf)])
+def test_bad_newton_settings_raise_before_any_step(monkeypatch, name, value):
+    module = importlib.import_module("liegroup_maps.integrate")
+
+    def no_step(*args):
+        raise AssertionError("a step ran")
+
+    problem = make_heavy_top_problem()
+    step_name = "max_iters" if name == "max_newton_iters" else name
+    with monkeypatch.context() as patch:
+        patch.setattr(module, "_midpoint_residual", no_step)
+        with pytest.raises(ValueError, match="Newton"):
+            integrate(problem, "implicit_midpoint", "cayley", 0.05, 0.5,
+                      **{name: value})
+        with pytest.raises(ValueError, match="Newton"):
+            implicit_midpoint_step(cayley_map(), problem.field, np.eye(4),
+                                   0.0, 0.05, **{step_name: value})
+    # RK4 and the piecewise rule take no Newton settings
+    for method in ("mk_rk4", "piecewise"):
+        run = integrate(problem, method, "cayley", 0.05, 0.5, **{name: value})
+        assert run.poses.shape == (11, 4, 4)
 
 
-def test_midpoint_guess_shape_and_default():
-    field = make_heavy_top_problem().field
-    aux = field.aux0
-    for bad in (np.zeros(6), np.zeros(10), np.zeros((9, 1))):
-        with pytest.raises(ValueError, match="guess must have shape"):
-            implicit_midpoint_step(cayley_map(), field, np.eye(4), 0.0, 0.05,
-                                   guess=bad)
-    cold = implicit_midpoint_step(cayley_map(), field, np.eye(4), 0.0, 0.05)
-    zero = implicit_midpoint_step(cayley_map(), field, np.eye(4), 0.0, 0.05,
-                                  guess=np.concatenate([np.zeros(6), aux]))
-    assert zero.iterations == cold.iterations
-    np.testing.assert_array_equal(zero.pose, cold.pose)
-    np.testing.assert_array_equal(zero.aux, cold.aux)
+def test_zero_newton_updates_accept_only_a_converged_start():
+    # a constant twist on the exponential chart: the warm start solves
+    # every step after the first, which needs its one update
+    problem = make_constant_twist_problem(TWIST)
+    with pytest.raises(IntegrationError, match="in 0 updates"):
+        integrate(problem, "implicit_midpoint", "exponential", 0.25, 1.0,
+                  max_newton_iters=0)
+    field = problem.field
+    step = implicit_midpoint_step(exponential_map(), field, np.eye(4), 0.0,
+                                  0.25, max_iters=np.int64(1))
+    assert step.iterations == 1
+
+
+@pytest.mark.parametrize("method", ["mk_rk4", "implicit_midpoint",
+                                    "piecewise"])
+def test_per_run_checks_stay_out_of_the_step(monkeypatch, method):
+    module = importlib.import_module("liegroup_maps.integrate")
+    calls = []
+
+    def counting(name):
+        original = getattr(module, name)
+
+        def wrapper(*args):
+            calls.append(name)
+            return original(*args)
+
+        return wrapper
+
+    for name in ("_require_finite_positive", "_field_aux"):
+        monkeypatch.setattr(module, name, counting(name))
+    problem = make_heavy_top_problem(momentum0=(3.0, -2.0, 4.0))
+    counts = []
+    for n_steps in (1, 100):
+        calls.clear()
+        integrate(problem, method, "exponential", 1e-3, n_steps * 1e-3)
+        counts.append(sorted(calls))
+    assert counts[0] == counts[1]
 
 
 def test_integrate_rejects_bad_arguments():
@@ -658,6 +676,13 @@ def test_heavy_top_rejects_bad_inertia():
         make_heavy_top_problem(inertia=(1.0, -2.0, 1.0))
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, 0.0])
+def test_heavy_top_rejects_non_finite_or_zero_inertia(bad):
+    # a NaN moment used to fail only at step 1, an infinite one ran silently
+    with pytest.raises(ValueError, match="positive principal moments"):
+        make_heavy_top_problem(inertia=(bad, 1.0, 1.0))
+
+
 # ---------------------------------------------------------------------------
 # Convergence orders
 # ---------------------------------------------------------------------------
@@ -764,3 +789,57 @@ def test_beam_rejects_bad_arguments():
         beam_reconstruct(helix_strain(), -1.0, 4)
     with pytest.raises(TypeError):
         beam_reconstruct(helix_strain(), 1.0, 2.5)
+
+
+# ---------------------------------------------------------------------------
+# Trajectory bytes
+# ---------------------------------------------------------------------------
+
+
+def _pinned_problems():
+    strain = varying_strain(2.0)
+    beam = TwistField("body", lambda s, pose, aux: (strain(s), np.zeros(0)))
+    return {
+        "heavy_top": (make_heavy_top_problem(momentum0=(3.0, -2.0, 4.0)),
+                      0.02, 0.6),
+        "spatial": (Problem("spatial", _spatial_field(), np.eye(4)), 0.02, 0.6),
+        "beam": (Problem("beam", beam, np.eye(4)), 2.0 / 32, 2.0),
+    }
+
+
+# sha256 (first 16 hex digits) of the poses, aux and Newton counts of each
+# run; captured with NumPy 2.4.6 on x86-64 Linux, and the 4x4 products run
+# through the installed BLAS, so another build may differ in the last bit
+PINNED_DIGESTS = {
+    "heavy_top/mk_rk4/exponential": "8822852f5c10ac5a",
+    "heavy_top/mk_rk4/cayley": "efe4f288a9a128c2",
+    "heavy_top/implicit_midpoint/exponential": "50bbc5b49bcb6bc6",
+    "heavy_top/implicit_midpoint/cayley": "98afe6b339021aa6",
+    "heavy_top/piecewise/exponential": "0b23a0ba20f95e7e",
+    "heavy_top/piecewise/cayley": "91c90fda875e4fe5",
+    "spatial/mk_rk4/exponential": "a5c4ecf61b6d8bf1",
+    "spatial/mk_rk4/cayley": "b18a2e6381fadd2d",
+    "spatial/implicit_midpoint/exponential": "2e524a8e26b31714",
+    "spatial/implicit_midpoint/cayley": "b121a8cfd5e48e41",
+    "spatial/piecewise/exponential": "b659e7fe773e076c",
+    "spatial/piecewise/cayley": "6f6e6d565e6a6158",
+    "beam/mk_rk4/exponential": "989fcb2c6254f921",
+    "beam/mk_rk4/cayley": "8bb1e28fd6927694",
+    "beam/implicit_midpoint/exponential": "776658e9ddabe1e3",
+    "beam/implicit_midpoint/cayley": "08ca4ca4dcb67748",
+    "beam/piecewise/exponential": "23e7dd2ab0dc4224",
+    "beam/piecewise/cayley": "4171e826fa6124ac",
+}
+
+
+def test_trajectory_bytes_are_pinned():
+    digests = {}
+    for name, (problem, h, t_end) in _pinned_problems().items():
+        for method in ("mk_rk4", "implicit_midpoint", "piecewise"):
+            for kind in ("exponential", "cayley"):
+                run = integrate(problem, method, kind, h, t_end)
+                blob = (run.poses.tobytes() + run.aux.tobytes()
+                        + run.newton_iterations.astype("<i8").tobytes())
+                digests[f"{name}/{method}/{kind}"] = hashlib.sha256(
+                    blob).hexdigest()[:16]
+    assert digests == PINNED_DIGESTS
