@@ -16,7 +16,7 @@ piecewise rule that freezes the field at the step midpoint (beams use it in
 arclength), and an implicit midpoint rule whose Newton iteration assembles
 the tangent matrix by the chain rule: the analytic directional derivative of
 ``dmap_inv``, the chart differential ``dmap`` at the half increment, and the
-field's own Jacobian (forward differences stand in for fields without one).
+field's own Jacobian (central differences stand in for fields without one).
 Runs extrapolate Newton's start and carry the inverse matrix between steps.
 """
 
@@ -32,6 +32,7 @@ import numpy as np
 
 from .core import (ChartDomainError, _as_pose, _as_vec, _cross, _dot, _finite,
                    _mat3, is_rotation, pose_inverse)
+from .oracle import fd_directional
 from .se3 import (_blocks66, _cay_pose, _dcay_inv_blocks, _dexp_inv_blocks,
                   _exp_pose, se3_dcay, se3_ddcay_inv_tangent,
                   se3_ddexp_inv_tangent, se3_dexp, se3_exp)
@@ -39,7 +40,6 @@ from .so3 import _angle, _sigma
 
 _FRAMES = ("body", "spatial")
 _ZERO3 = (0.0, 0.0, 0.0)
-_FD_STEP = 1e-7     # forward-difference step of the field Jacobian fallback
 
 DEFAULT_CONSTANT_TWIST = np.array([0.3, -0.2, 0.4, 1.0, 0.5, -0.3])
 # Largest step count a run accepts: a run keeps every pose, so a huge t_end/h
@@ -91,13 +91,17 @@ class ChartPoint:
         return pose if self._origin_rows else _compose(frame, pose,
                                                        self.pose())
 
+    def _signed(self, frame: str) -> tuple:
+        """The coordinates the operators of ``frame`` are taken at, as
+        ``(x, y)``: negated for a body frame."""
+        if frame == "body":
+            return [-v for v in self._x], [-v for v in self._y]
+        return self._x, self._y
+
     def _rows(self, frame: str) -> tuple:
         if self._origin_rows:
             return self._origin_rows
-        if frame == "body":
-            return self._cmap.dmap_inv_rows([-v for v in self._x],
-                                            [-v for v in self._y], self._k)
-        return self._cmap.dmap_inv_rows(self._x, self._y, self._k)
+        return self._cmap.dmap_inv_rows(*self._signed(frame), self._k)
 
     def dmap_inv(self, twist, frame: str) -> list:
         """The coordinate rate of a twist in ``frame`` as floats, with no
@@ -114,6 +118,21 @@ class ChartPoint:
     def dmap_inv_matrix(self, frame: str) -> np.ndarray:
         """The operator of :meth:`dmap_inv` as a 6x6 array."""
         return _blocks66(*self._rows(frame))
+
+    def dmap_matrix(self, frame: str) -> np.ndarray:
+        """The chart differential at the coordinates of ``frame``:
+        ``dmap(-coords)`` for a body frame, ``dmap(coords)`` for a spatial
+        one."""
+        x, y = self._signed(frame)
+        return self._cmap.dmap(x + y)
+
+    def dmap_inv_derivative(self, twist, frame: str) -> np.ndarray:
+        """The derivative of :meth:`dmap_inv` of a fixed twist with respect
+        to the coordinates: ``-ddmap_inv_tangent(-coords, twist)`` for a
+        body frame, ``ddmap_inv_tangent(coords, twist)`` for a spatial one."""
+        x, y = self._signed(frame)
+        tangent = self._cmap.ddmap_inv_tangent(x + y, twist)
+        return -tangent if frame == "body" else tangent
 
 
 @dataclass(frozen=True)
@@ -187,7 +206,7 @@ class TwistField:
     ``(xi, aux)``, where ``n = aux0.size`` and ``xi`` perturbs the pose in
     the field's frame: ``pose @ exp(hat(xi))`` for a body field,
     ``exp(hat(xi)) @ pose`` for a spatial one.  The implicit midpoint rule
-    builds its Newton matrix from it; without it, forward differences of
+    builds its Newton matrix from it; without it, central differences of
     ``rate`` stand in.
     """
 
@@ -337,79 +356,58 @@ def mk_rk4_step(cmap: CoordinateMap, field: TwistField, pose: np.ndarray,
 def _midpoint_residual(cmap: CoordinateMap, field: TwistField,
                        pose: np.ndarray, t: float, h: float, aux: np.ndarray,
                        state: np.ndarray):
-    """Residual of the implicit-midpoint equations plus reusable pieces.
+    """Residual of the implicit-midpoint equations, the point at the full
+    increment and a closure that assembles the Newton matrix there.
 
     ``state`` stacks the chart increment (first six entries) with the
     end-of-step auxiliary state.
     """
-    coords, z_end = state[:6], state[6:]
-    mid_pose = cmap.at(0.5 * coords).compose(pose, field.frame)
-    twist, aux_rate = field.rate(t + 0.5 * h, mid_pose, 0.5 * (aux + z_end))
-    twist = np.asarray(twist, dtype=float)
-    aux_rate = np.asarray(aux_rate, dtype=float)
+    frame, coords, z_end = field.frame, state[:6], state[6:]
+    t_mid, aux_mid = t + 0.5 * h, 0.5 * (aux + z_end)
+    half = cmap.at(0.5 * coords)
+    mid_pose = half.compose(pose, frame)
+    twist, aux_rate = field.rate(t_mid, mid_pose, aux_mid)
     point = cmap.at(coords)
-    rate = point.dmap_inv(twist, field.frame)
+    rate = point.dmap_inv(twist, frame)
     residual = np.concatenate([
         [c - h * r for c, r in zip(coords.tolist(), rate)],
-        z_end - aux - h * aux_rate,
+        z_end - aux - h * np.asarray(aux_rate, dtype=float),
     ])
-    return residual, twist, aux_rate, mid_pose, point
+
+    def jacobian() -> np.ndarray:
+        if field.jacobian is None:
+            field_jac = _field_jacobian_fd(field, t_mid, mid_pose, aux_mid)
+        else:
+            field_jac = field.jacobian(t_mid, mid_pose, aux_mid)
+        # chain rule: a chart step d moves the midpoint pose by
+        # half.dmap_matrix(frame) @ d / 2 in the field's frame and an
+        # end-state step moves the midpoint aux by half of it, so the matrix
+        # is I - h [[dmap_inv, 0], [0, I]] field_jac [[dmap/2, 0], [0, I/2]]
+        # - h d(dmap_inv twist)/d coords, built on one fresh array
+        out = (-0.5 * h) * np.asarray(field_jac, dtype=float)
+        out[:, :6] = out[:, :6] @ half.dmap_matrix(frame)
+        out[:6] = point.dmap_inv_matrix(frame) @ out[:6]
+        out[:6, :6] -= h * point.dmap_inv_derivative(twist, frame)
+        out.flat[::state.size + 1] += 1.0
+        return out
+
+    return residual, point, jacobian
 
 
 def _field_jacobian_fd(field: TwistField, t: float, pose: np.ndarray,
-                       aux: np.ndarray, twist: np.ndarray,
-                       aux_rate: np.ndarray) -> np.ndarray:
-    """Forward-difference stand-in for ``TwistField.jacobian``: the pose
-    moves by ``exp(_FD_STEP * e_j)`` in the field's frame, the auxiliary
-    state by ``_FD_STEP * e_j``."""
-    n = 6 + aux.size
-    base = np.concatenate([twist, aux_rate])
-    out = np.empty((n, n))
-    for j in range(n):
-        bumped_pose, bumped_aux = pose, aux
-        if j < 6:
-            step = np.zeros(6)
-            step[j] = _FD_STEP
-            bumped_pose = _compose(field.frame, pose, se3_exp(step))
-        else:
-            bumped_aux = aux.copy()
-            bumped_aux[j - 6] += _FD_STEP
-        twist_up, rate_up = field.rate(t, bumped_pose, bumped_aux)
-        out[:, j] = (np.concatenate([twist_up, rate_up]) - base) / _FD_STEP
-    return out
+                       aux: np.ndarray) -> np.ndarray:
+    """Stand-in for ``TwistField.jacobian``: central differences
+    (:func:`~liegroup_maps.oracle.fd_directional`) of the stacked
+    ``(twist, aux_rate)``, the pose moved by ``se3_exp(xi)`` in the field's
+    frame and the auxiliary state by its step."""
 
+    def stacked(step: np.ndarray) -> np.ndarray:
+        moved = _compose(field.frame, pose, se3_exp(step[:6]))
+        return np.concatenate(field.rate(t, moved, aux + step[6:]))
 
-def _midpoint_jacobian(cmap: CoordinateMap, field: TwistField, t: float,
-                       h: float, aux: np.ndarray, state: np.ndarray,
-                       twist: np.ndarray, aux_rate: np.ndarray,
-                       mid_pose: np.ndarray, point: ChartPoint):
-    """Newton Jacobian of the midpoint residual by the chain rule.
-
-    The field Jacobian is taken at the midpoint with respect to the pose
-    perturbation in the field's frame and the midpoint auxiliary state.  A
-    chart step ``d`` moves the midpoint pose by
-    ``xi = dmap(sign * coords / 2) @ d / 2`` in that frame, and an end-state
-    step moves the midpoint auxiliary state by half of it.  The chart
-    curvature enters analytically through ``ddmap_inv_tangent``.
-    """
-    sign = -1.0 if field.frame == "body" else 1.0
-    coords, z_end = state[:6], state[6:]
-    t_mid = t + 0.5 * h
-    aux_mid = 0.5 * (aux + z_end)
-    if field.jacobian is None:
-        field_jac = _field_jacobian_fd(field, t_mid, mid_pose, aux_mid, twist,
-                                       aux_rate)
-    else:
-        field_jac = field.jacobian(t_mid, mid_pose, aux_mid)
-    # I - h [[dmap_inv, 0], [0, I]] field_jac [[dmap(.)/2, 0], [0, I/2]]
-    # - h sign ddmap_inv_tangent, built on one fresh array
-    jacobian = (-0.5 * h) * np.asarray(field_jac, dtype=float)
-    jacobian[:, :6] = jacobian[:, :6] @ cmap.dmap(0.5 * sign * coords)
-    jacobian[:6] = point.dmap_inv_matrix(field.frame) @ jacobian[:6]
-    jacobian[:6, :6] -= (h * sign) * cmap.ddmap_inv_tangent(sign * coords,
-                                                            twist)
-    jacobian.flat[::state.size + 1] += 1.0
-    return jacobian
+    basis = np.eye(6 + aux.size)
+    return np.column_stack([fd_directional(stacked, np.zeros(len(basis)), e)
+                            for e in basis])
 
 
 def _midpoint_start(history: list, aux: np.ndarray) -> np.ndarray:
@@ -454,8 +452,8 @@ def _midpoint(cmap: CoordinateMap, field: TwistField, h: float,
         state = np.concatenate([np.zeros(6), aux]) if start is None else start
         residuals = []
         for iteration in range(max_iters + 1):
-            (residual, twist, aux_rate, mid_pose,
-             point) = _midpoint_residual(cmap, field, pose, t, h, aux, state)
+            residual, point, jacobian = _midpoint_residual(
+                cmap, field, pose, t, h, aux, state)
             res_norm = _max_abs(residual.tolist())
             residuals.append(res_norm)
             if not math.isfinite(res_norm):
@@ -471,9 +469,7 @@ def _midpoint(cmap: CoordinateMap, field: TwistField, h: float,
                     f"{newton_tol:g} in {max_iters} updates "
                     f"(last residual {res_norm:.3e})", res_norm)
             if iteration or inverse is None:
-                inverse = np.linalg.inv(_midpoint_jacobian(
-                    cmap, field, t, h, aux, state, twist, aux_rate, mid_pose,
-                    point))
+                inverse = np.linalg.inv(jacobian())
             state = state - inverse @ residual
         history = history[-2:] + [state]
         start = _midpoint_start(history, aux)
@@ -637,14 +633,24 @@ def make_heavy_top_problem(inertia=(2.0, 2.0, 1.0), mgl: float = 1.0,
     The body twist is (inertia^-1 pi, 0); the momentum rate combines the
     gyroscopic term with the gravity torque about the centre-of-mass axis
     ``chi``.  Conserved quantities exposed as invariants: total energy and
-    the momentum component about the spatial vertical.
+    the momentum component about the spatial vertical.  Raises ValueError
+    unless ``inertia`` holds three finite positive moments, ``chi`` three
+    finite entries, ``mgl`` is finite and ``momentum0`` has three entries
+    (NaN entries allowed: a run then fails at its first step).
     """
     inertia = np.asarray(inertia, dtype=float)
     if inertia.shape != (3,) or not all(0.0 < i < math.inf
                                         for i in inertia.tolist()):
         raise ValueError("inertia must be three positive principal moments")
     chi = np.asarray(chi, dtype=float)
+    if chi.shape != (3,) or not all(map(math.isfinite, chi.tolist())):
+        raise ValueError("chi must be three finite entries")
+    if not math.isfinite(mgl):
+        raise ValueError(f"mgl must be finite, got {mgl!r}")
     momentum0 = np.asarray(momentum0, dtype=float)
+    if momentum0.shape != (3,):
+        raise ValueError(f"momentum0 must have three entries, got shape "
+                         f"{momentum0.shape}")
     pose0 = np.eye(4) if initial_pose is None else np.asarray(initial_pose,
                                                               dtype=float)
 

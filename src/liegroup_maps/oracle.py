@@ -8,6 +8,9 @@ derivative oracle is a central finite difference, and the Cayley oracle is a
 linear solve.  Tests compare every production formula against at least one
 of these routes.  The identity routes at the end, by contrast, recombine the
 rotation Cayley maps into quantities that must agree.
+
+``fd_directional`` also serves production: the implicit midpoint rule of
+``integrate`` differentiates a field that ships no Jacobian with it.
 """
 
 from __future__ import annotations

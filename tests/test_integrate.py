@@ -14,7 +14,6 @@ from liegroup_maps.integrate import (
     NewtonConvergenceError,
     Problem,
     TwistField,
-    _midpoint_jacobian,
     _midpoint_residual,
     _orth_drift,
     _step_count,
@@ -247,10 +246,7 @@ def _spatial_field():
 
 
 def _newton_jacobian(cmap, field, pose, aux, h, state):
-    _, twist, aux_rate, mid_pose, dmap_mat = _midpoint_residual(
-        cmap, field, pose, 0.0, h, aux, state)
-    return _midpoint_jacobian(cmap, field, 0.0, h, aux, state, twist,
-                              aux_rate, mid_pose, dmap_mat)
+    return _midpoint_residual(cmap, field, pose, 0.0, h, aux, state)[2]()
 
 
 def _residual_central_difference(cmap, field, pose, aux, h, state):
@@ -303,7 +299,7 @@ def test_analytic_field_jacobian_agrees_with_fallback(name, kind):
     fallback = _newton_jacobian(
         cmap, dataclasses.replace(field, jacobian=None), pose, aux, h, state)
     scale = np.max(np.abs(analytic - np.eye(state.size)))
-    assert np.max(np.abs(analytic - fallback)) / scale < 1e-6
+    assert np.max(np.abs(analytic - fallback)) / scale < 1e-9
     fd = _residual_central_difference(cmap, field, pose, aux, h, state)
     assert np.max(np.abs(analytic - fd)) / scale < 1e-7
 
@@ -398,23 +394,47 @@ def test_warm_start_is_exact_for_a_constant_twist():
 
 
 @pytest.mark.parametrize("kind", ["exponential", "cayley"])
-def test_warm_run_assembles_the_newton_matrix_only_at_the_start(
-        monkeypatch, kind):
+def test_warm_run_assembles_the_newton_matrix_only_at_the_start(kind):
     # full Newton assembles one matrix per update, 251 here; the carried
     # inverse serves every warm step's single update
-    module = importlib.import_module("liegroup_maps.integrate")
-    assemblies = []
-
-    def counting_jacobian(*args):
-        assemblies.append(args)
-        return _midpoint_jacobian(*args)
-
-    monkeypatch.setattr(module, "_midpoint_jacobian", counting_jacobian)
-    problem = make_heavy_top_problem(momentum0=(3.0, -2.0, 4.0))
+    problem, assemblies = _counting_heavy_top()
     iterations = integrate(problem, "implicit_midpoint", kind, 1e-3,
                            0.25).newton_iterations
     assert len(assemblies) <= 4
     assert iterations.sum() <= 251
+
+
+def _counting_heavy_top():
+    """The heavy top with momentum (3, -2, 4), and a list that gains one
+    entry per Newton matrix assembled, read off the field Jacobian."""
+    problem = make_heavy_top_problem(momentum0=(3.0, -2.0, 4.0))
+    assemblies = []
+
+    def counting_jacobian(*args):
+        assemblies.append(args)
+        return problem.field.jacobian(*args)
+
+    field = dataclasses.replace(problem.field, jacobian=counting_jacobian)
+    return dataclasses.replace(problem, field=field), assemblies
+
+
+@pytest.mark.parametrize("kind", ["exponential", "cayley"])
+def test_newton_matrix_reaches_the_chart_curvature_through_module_names(
+        monkeypatch, kind):
+    # profilers rebind the two se3 tangent maps on this module and count
+    # their calls as Newton assemblies; a chart built after the rebinding
+    # must call them once per assembly
+    module = importlib.import_module("liegroup_maps.integrate")
+    calls = []
+    for name in ("se3_ddexp_inv_tangent", "se3_ddcay_inv_tangent"):
+        def counting(screw, twist, tangent=getattr(module, name)):
+            calls.append(screw)
+            return tangent(screw, twist)
+
+        monkeypatch.setattr(module, name, counting)
+    problem, assemblies = _counting_heavy_top()
+    integrate(problem, "implicit_midpoint", kind, 1e-3, 0.25)
+    assert 1 <= len(calls) == len(assemblies) <= 4
 
 
 @pytest.mark.parametrize("kind", ["exponential", "cayley"])
@@ -681,6 +701,22 @@ def test_heavy_top_rejects_non_finite_or_zero_inertia(bad):
     # a NaN moment used to fail only at step 1, an infinite one ran silently
     with pytest.raises(ValueError, match="positive principal moments"):
         make_heavy_top_problem(inertia=(bad, 1.0, 1.0))
+
+
+@pytest.mark.parametrize("name, value, message", [
+    ("chi", (0.0, 1.0), "chi must be three finite"),
+    ("chi", (0.0, 0.0, 1.0, 0.0), "chi must be three finite"),
+    ("chi", (math.nan, 0.0, 1.0), "chi must be three finite"),
+    ("chi", (0.0, math.inf, 1.0), "chi must be three finite"),
+    ("mgl", math.nan, "mgl must be finite"),
+    ("mgl", -math.inf, "mgl must be finite"),
+    ("momentum0", (1.0, 2.0), "momentum0 must have three entries"),
+    ("momentum0", [[0.1, 0.1, 1.0]], "momentum0 must have three entries")])
+def test_heavy_top_rejects_bad_gravity_or_momentum(name, value, message):
+    # each used to fail only inside the first step, as an IndexError, an
+    # unpacking ValueError or an IntegrationError blaming the chart
+    with pytest.raises(ValueError, match=message):
+        make_heavy_top_problem(**{name: value})
 
 
 # ---------------------------------------------------------------------------

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
+import liegroup_maps
 from liegroup_maps import se3 as se3_module
 from liegroup_maps import so3 as so3_module
 from liegroup_maps.core import Ad6, ChartDomainError, ad6, hat3, hat6
@@ -620,3 +621,10 @@ def test_mismatch_is_large_for_pitched_screw():
     gap = m.group_route - m.adjoint_route
     assert_allclose(gap, [-0.06, 0.08, -0.10], atol=1e-15)
     assert np.all(np.abs(gap) > 1e-2)
+
+
+@pytest.mark.parametrize("module", [so3_module, se3_module])
+def test_public_maps_are_package_attributes(module):
+    missing = [name for name in module.__all__
+               if not hasattr(liegroup_maps, name)]
+    assert not missing, f"{module.__name__} names missing from the package"
