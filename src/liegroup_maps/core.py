@@ -25,10 +25,6 @@ __all__ = [
     "vee6",
     "ad6",
     "Ad6",
-    "make_pose",
-    "rotation_of",
-    "translation_of",
-    "pose_compose",
     "pose_inverse",
     "is_rotation",
 ]
@@ -175,31 +171,6 @@ def Ad6(pose) -> np.ndarray:
     out[3:, 3:] = rot
     out[3:, :3] = hat3(pose[:3, 3]) @ rot
     return out
-
-
-def make_pose(rot, trans) -> np.ndarray:
-    """Assemble the 4x4 pose [[R, r], [0, 1]]."""
-    rot = _as_mat(rot, 3, "rot")
-    trans = _as_vec(trans, 3, "trans")
-    out = np.eye(4)
-    out[:3, :3] = rot
-    out[:3, 3] = trans
-    return out
-
-
-def rotation_of(pose) -> np.ndarray:
-    """Rotation block of a pose."""
-    return _as_mat(pose, 4, "pose")[:3, :3].copy()
-
-
-def translation_of(pose) -> np.ndarray:
-    """Translation column of a pose."""
-    return _as_mat(pose, 4, "pose")[:3, 3].copy()
-
-
-def pose_compose(a, b) -> np.ndarray:
-    """Group product of two poses."""
-    return _as_mat(a, 4, "a") @ _as_mat(b, 4, "b")
 
 
 def pose_inverse(pose) -> np.ndarray:

@@ -68,6 +68,15 @@ class IntegrationError(RuntimeError):
 # ---------------------------------------------------------------------------
 
 
+def _floats(values, n: int, name: str) -> list:
+    """``values`` as a list of ``n`` floats: a list of that length is taken
+    as it is, anything else goes through ``_as_vec``, whose ValueError
+    names ``name`` and both lengths."""
+    if type(values) is list and len(values) == n:
+        return values
+    return _as_vec(values, n, name).tolist()
+
+
 class ChartPoint:
     """A point of a chart, made by :meth:`CoordinateMap.at`: the chart check
     and the finite-translation check run once; at the origin the composition
@@ -107,7 +116,7 @@ class ChartPoint:
         """The coordinate rate of a twist in ``frame`` as floats, with no
         6x6 array: ``dmap_inv(-coords) @ twist`` for a body frame,
         ``dmap_inv(coords) @ twist`` for a spatial one."""
-        a, b, c, u, v, w = _as_vec(twist, 6, "twist").tolist()
+        a, b, c, u, v, w = _floats(twist, 6, "twist")
         top, low, diag = self._rows(frame)
         # summed in the pairing of NumPy's 6x6 product through OpenBLAS
         # dgemv, so a twist without translation gets the array product's bits
@@ -160,10 +169,8 @@ class CoordinateMap:
 
     def at(self, coords) -> ChartPoint:
         """The chart point at a 6-vector of coordinates; a list of 6 floats,
-        as the steppers build it, is taken as it is."""
-        if type(coords) is not list or len(coords) != 6:
-            coords = _as_vec(coords, 6, "coords").tolist()
-        return ChartPoint(self, coords)
+        as the steppers build it, is taken as it is (:func:`_floats`)."""
+        return ChartPoint(self, _floats(coords, 6, "coords"))
 
     @functools.cached_property
     def origin(self) -> ChartPoint:
@@ -197,21 +204,23 @@ def coordinate_map(kind) -> CoordinateMap:
 class TwistField:
     """Twist along a motion, with optional auxiliary ODE state.
 
-    ``rate(t, pose, aux)`` returns ``(twist, aux_rate)`` where ``twist`` is a
-    6-vector in the frame named by ``frame`` and ``aux_rate`` has the shape
-    of ``aux0``.  Fields without auxiliary state return an empty rate.
+    ``rate(t, pose, aux)`` receives ``aux`` as a list of ``n = aux0.size``
+    floats and returns ``(twist, aux_rate)``: ``twist`` has 6 entries in the
+    frame named by ``frame`` and ``aux_rate`` has ``n``.  Lists of floats
+    pass to the steppers as they are; arrays and other sequences are
+    accepted and converted, and a wrong length raises ValueError.  Fields
+    without auxiliary state return an empty rate.
 
     ``jacobian(t, pose, aux)``, optional, returns the ``(6+n, 6+n)``
     derivative of the stacked ``(twist, aux_rate)`` with respect to
-    ``(xi, aux)``, where ``n = aux0.size`` and ``xi`` perturbs the pose in
-    the field's frame: ``pose @ exp(hat(xi))`` for a body field,
-    ``exp(hat(xi)) @ pose`` for a spatial one.  The implicit midpoint rule
-    builds its Newton matrix from it; without it, central differences of
-    ``rate`` stand in.
+    ``(xi, aux)``, where ``xi`` perturbs the pose in the field's frame:
+    ``pose @ exp(hat(xi))`` for a body field, ``exp(hat(xi)) @ pose`` for a
+    spatial one.  The implicit midpoint rule builds its Newton matrix from
+    it; without it, central differences of ``rate`` stand in.
     """
 
     frame: str
-    rate: Callable[[float, np.ndarray, np.ndarray], tuple]
+    rate: Callable[[float, np.ndarray, list], tuple]
     aux0: np.ndarray = dataclass_field(default_factory=lambda: np.zeros(0))
     jacobian: Callable[..., np.ndarray] | None = None
 
@@ -230,20 +239,19 @@ class Problem:
     name: str
     field: TwistField
     initial_pose: np.ndarray
-    invariants: Mapping[str, Callable[[np.ndarray, np.ndarray], float]] = (
+    invariants: Mapping[str, Callable[[np.ndarray, list], float]] = (
         dataclass_field(default_factory=dict)
     )
 
 
 @dataclass(frozen=True)
 class StepResult:
-    """One accepted step: new pose, new auxiliary state, chart increment;
-    an implicit-midpoint step adds its Newton updates and the residual
-    before each."""
+    """What a one-step call returns: the new pose and auxiliary state; an
+    implicit-midpoint step adds its Newton updates and the residual before
+    each."""
 
     pose: np.ndarray
     aux: np.ndarray
-    coords: np.ndarray
     iterations: int = 0
     residuals: tuple = ()
 
@@ -305,8 +313,9 @@ def _step_count(h: float, t_end: float) -> int:
     return round(ratio)
 
 
-def _field_aux(field: TwistField, aux) -> np.ndarray:
-    return np.array(field.aux0 if aux is None else aux, dtype=float)
+def _field_aux(field: TwistField, aux) -> list:
+    """The auxiliary state a one-step call starts from, as floats."""
+    return _floats(field.aux0 if aux is None else aux, field.aux0.size, "aux")
 
 
 def _rk4(cmap: CoordinateMap, field: TwistField, h: float, *_):
@@ -314,22 +323,21 @@ def _rk4(cmap: CoordinateMap, field: TwistField, h: float, *_):
 
     The chart coordinates restart at zero each step; auxiliary state is
     co-integrated with the same tableau.  Each stage is one chart point,
-    and the stage sums run on floats.  A step raises ChartDomainError if an
-    internal stage leaves the chart.
+    and the stage states, rates and sums are float lists.  A step raises
+    ChartDomainError if an internal stage leaves the chart.
     """
-    frame, half, sixth = field.frame, 0.5 * h, h / 6.0
+    frame, n, half, sixth = field.frame, field.aux0.size, 0.5 * h, h / 6.0
 
-    def advance(pose: np.ndarray, t: float, aux: np.ndarray) -> StepResult:
-        z0 = aux.tolist()
+    def advance(pose: np.ndarray, t: float, aux: list) -> tuple:
 
         def rate(tau, point, z):
             twist, aux_rate = field.rate(tau, point.compose(pose, frame), z)
             return (point.dmap_inv(twist, frame),
-                    np.asarray(aux_rate, dtype=float).tolist())
+                    _floats(aux_rate, n, "aux rate"))
 
         def stage(tau, scale, kx, kz):
             return rate(tau, cmap.at([scale * k for k in kx]),
-                        np.array([z + scale * k for z, k in zip(z0, kz)]))
+                        [z + scale * k for z, k in zip(aux, kz)])
 
         k1x, k1z = rate(t, cmap.origin, aux)
         k2x, k2z = stage(t + half, half, k1x, k1z)
@@ -338,10 +346,9 @@ def _rk4(cmap: CoordinateMap, field: TwistField, h: float, *_):
 
         coords = [sixth * (a + 2.0 * b + 2.0 * c + d)
                   for a, b, c, d in zip(k1x, k2x, k3x, k4x)]
-        aux_next = np.array([z + sixth * (a + 2.0 * b + 2.0 * c + d) for
-                             z, a, b, c, d in zip(z0, k1z, k2z, k3z, k4z)])
-        return StepResult(cmap.at(coords).compose(pose, frame), aux_next,
-                          np.array(coords))
+        aux_next = [z + sixth * (a + 2.0 * b + 2.0 * c + d)
+                    for z, a, b, c, d in zip(aux, k1z, k2z, k3z, k4z)]
+        return cmap.at(coords).compose(pose, frame), aux_next, 0
 
     return advance
 
@@ -350,29 +357,33 @@ def mk_rk4_step(cmap: CoordinateMap, field: TwistField, pose: np.ndarray,
                 t: float, h: float, aux=None) -> StepResult:
     """Advance one classical RK4 step through the chart (:func:`_rk4`)."""
     _require_finite_positive("step size", h)
-    return _rk4(cmap, field, h)(pose, t, _field_aux(field, aux))
+    pose, aux, _ = _rk4(cmap, field, h)(pose, t, _field_aux(field, aux))
+    return StepResult(pose, np.array(aux))
 
 
 def _midpoint_residual(cmap: CoordinateMap, field: TwistField,
-                       pose: np.ndarray, t: float, h: float, aux: np.ndarray,
+                       pose: np.ndarray, t: float, h: float, aux: list,
                        state: np.ndarray):
     """Residual of the implicit-midpoint equations, the point at the full
     increment and a closure that assembles the Newton matrix there.
 
     ``state`` stacks the chart increment (first six entries) with the
-    end-of-step auxiliary state.
+    end-of-step auxiliary state.  The residual is an array; the field gets
+    the midpoint auxiliary state as floats.
     """
-    frame, coords, z_end = field.frame, state[:6], state[6:]
-    t_mid, aux_mid = t + 0.5 * h, 0.5 * (aux + z_end)
-    half = cmap.at(0.5 * coords)
+    frame, values = field.frame, state.tolist()
+    coords, z_end = values[:6], values[6:]
+    t_mid = t + 0.5 * h
+    aux_mid = [0.5 * (a + z) for a, z in zip(aux, z_end)]
+    half = cmap.at([0.5 * c for c in coords])
     mid_pose = half.compose(pose, frame)
     twist, aux_rate = field.rate(t_mid, mid_pose, aux_mid)
     point = cmap.at(coords)
     rate = point.dmap_inv(twist, frame)
-    residual = np.concatenate([
-        [c - h * r for c, r in zip(coords.tolist(), rate)],
-        z_end - aux - h * np.asarray(aux_rate, dtype=float),
-    ])
+    aux_rate = _floats(aux_rate, len(z_end), "aux rate")
+    residual = np.array([c - h * r for c, r in zip(coords, rate)]
+                        + [(z - a) - h * r
+                           for z, a, r in zip(z_end, aux, aux_rate)])
 
     def jacobian() -> np.ndarray:
         if field.jacobian is None:
@@ -395,7 +406,7 @@ def _midpoint_residual(cmap: CoordinateMap, field: TwistField,
 
 
 def _field_jacobian_fd(field: TwistField, t: float, pose: np.ndarray,
-                       aux: np.ndarray) -> np.ndarray:
+                       aux: list) -> np.ndarray:
     """Stand-in for ``TwistField.jacobian``: central differences
     (:func:`~liegroup_maps.oracle.fd_directional`) of the stacked
     ``(twist, aux_rate)``, the pose moved by ``se3_exp(xi)`` in the field's
@@ -403,14 +414,15 @@ def _field_jacobian_fd(field: TwistField, t: float, pose: np.ndarray,
 
     def stacked(step: np.ndarray) -> np.ndarray:
         moved = _compose(field.frame, pose, se3_exp(step[:6]))
-        return np.concatenate(field.rate(t, moved, aux + step[6:]))
+        return np.concatenate(field.rate(
+            t, moved, [a + s for a, s in zip(aux, step[6:].tolist())]))
 
-    basis = np.eye(6 + aux.size)
+    basis = np.eye(6 + len(aux))
     return np.column_stack([fd_directional(stacked, np.zeros(len(basis)), e)
                             for e in basis])
 
 
-def _midpoint_start(history: list, aux: np.ndarray) -> np.ndarray:
+def _midpoint_start(history: list, aux: list) -> np.ndarray:
     """Newton's start for the next implicit-midpoint step from the stacked
     states (increment, end-of-step aux) of the last one to three steps,
     newest last: ``3 (s_n - s_{n-1}) + s_{n-2}``, the linear extrapolation
@@ -439,18 +451,20 @@ def _midpoint(cmap: CoordinateMap, field: TwistField, h: float,
     ValueError unless ``max_iters`` is an int >= 0 and ``newton_tol`` is
     finite and positive; a step raises NewtonConvergenceError as soon as
     the residual is non-finite, or when it fails to drop below
-    ``newton_tol`` within ``max_iters`` updates.
+    ``newton_tol`` within ``max_iters`` updates.  The Newton state is one
+    array; ``advance.residuals`` lists the residual norms of the last step,
+    one before each update and one for the accepted state.
     """
     if not (isinstance(max_iters, (int, np.integer)) and max_iters >= 0):
         raise ValueError("the Newton iteration limit must be an int >= 0")
     _require_finite_positive("Newton tolerance", newton_tol)
     start = inverse = None
-    history = []
+    history, residuals = [], []
 
-    def advance(pose: np.ndarray, t: float, aux: np.ndarray) -> StepResult:
+    def advance(pose: np.ndarray, t: float, aux: list) -> tuple:
         nonlocal start, inverse, history
         state = np.concatenate([np.zeros(6), aux]) if start is None else start
-        residuals = []
+        residuals.clear()
         for iteration in range(max_iters + 1):
             residual, point, jacobian = _midpoint_residual(
                 cmap, field, pose, t, h, aux, state)
@@ -473,9 +487,9 @@ def _midpoint(cmap: CoordinateMap, field: TwistField, h: float,
             state = state - inverse @ residual
         history = history[-2:] + [state]
         start = _midpoint_start(history, aux)
-        return StepResult(point.compose(pose, field.frame), state[6:],
-                          state[:6], iteration, tuple(residuals))
+        return point.compose(pose, field.frame), state[6:].tolist(), iteration
 
+    advance.residuals = residuals
     return advance
 
 
@@ -485,8 +499,10 @@ def implicit_midpoint_step(cmap: CoordinateMap, field: TwistField,
                            max_iters: int = 20) -> StepResult:
     """Advance one cold, full-Newton step of :func:`_midpoint`."""
     _require_finite_positive("step size", h)
-    return _midpoint(cmap, field, h, newton_tol, max_iters)(
-        pose, t, _field_aux(field, aux))
+    advance = _midpoint(cmap, field, h, newton_tol, max_iters)
+    pose, aux, iterations = advance(pose, t, _field_aux(field, aux))
+    return StepResult(pose, np.array(aux), iterations,
+                      tuple(advance.residuals))
 
 
 def _piecewise(cmap: CoordinateMap, field: TwistField, h: float, *_):
@@ -494,18 +510,20 @@ def _piecewise(cmap: CoordinateMap, field: TwistField, h: float, *_):
     ``h * dmap_inv(0) @ twist(t + h/2)``, consistent for every chart
     convention, and the auxiliary state moves by ``h * aux_rate``.  The
     field sees the pose and auxiliary state at the start of the step."""
+    frame, n = field.frame, field.aux0.size
 
-    def advance(pose: np.ndarray, t: float, aux: np.ndarray) -> StepResult:
+    def advance(pose: np.ndarray, t: float, aux: list) -> tuple:
         twist, aux_rate = field.rate(t + 0.5 * h, pose, aux)
-        coords = [h * r for r in cmap.origin.dmap_inv(twist, field.frame)]
-        return StepResult(cmap.at(coords).compose(pose, field.frame),
-                          aux + h * np.asarray(aux_rate, dtype=float),
-                          np.array(coords))
+        coords = [h * r for r in cmap.origin.dmap_inv(twist, frame)]
+        return (cmap.at(coords).compose(pose, frame),
+                [z + h * r for z, r in zip(aux, _floats(aux_rate, n,
+                                                          "aux rate"))], 0)
 
     return advance
 
 
-# stepper(cmap, field, h, newton_tol, max_iters) -> advance(pose, t, aux)
+# stepper(cmap, field, h, newton_tol, max_iters) -> advance(pose, t, aux),
+# which returns (pose, aux, Newton updates); aux travels as a float list
 _STEPPERS = {"mk_rk4": _rk4, "implicit_midpoint": _midpoint,
              "piecewise": _piecewise}
 _METHODS = tuple(_STEPPERS)
@@ -543,8 +561,10 @@ def integrate(problem: Problem, method: str = "mk_rk4",
     an initial pose that is not a finite, rigid 4x4 pose.  The method's
     stepper (:data:`_STEPPERS`) is built once per run and carries its state
     between steps; the Newton settings serve the implicit midpoint only
-    (:func:`_midpoint`).  A failed step (chart domain violation or Newton
-    breakdown) raises IntegrationError carrying the trajectory so far.
+    (:func:`_midpoint`).  The auxiliary state travels as a float list, which
+    the invariants get too; ``Trajectory.aux`` is built from those lists at
+    the end.  A failed step (chart domain violation or Newton breakdown)
+    raises IntegrationError carrying the trajectory so far.
     """
     if method not in _STEPPERS:
         raise ValueError(f"unknown method {method!r}; expected one of "
@@ -584,19 +604,18 @@ def integrate(problem: Problem, method: str = "mk_rk4",
             newton_iterations=np.array(iterations, dtype=int),
         )
 
-    aux = field.aux0.copy()
+    aux = field.aux0.tolist()
     record(0.0, pose, aux)
     for k in range(n_steps):
         t = k * h
         try:
-            result = advance(pose, t, aux)
+            pose, aux, updates = advance(pose, t, aux)
         except (ChartDomainError, NewtonConvergenceError) as err:
             raise IntegrationError(
                 f"step {k + 1} of {n_steps} (t={t:.6g}) failed: {err}",
                 build(),
             ) from err
-        pose, aux = result.pose, result.aux
-        iterations.append(result.iterations)
+        iterations.append(updates)
         record(t_end if k + 1 == n_steps else (k + 1) * h, pose, aux)
     return build()
 
@@ -608,14 +627,20 @@ def integrate(problem: Problem, method: str = "mk_rk4",
 
 def make_constant_twist_problem(twist=None, frame: str = "body",
                                 initial_pose=None) -> Problem:
-    """Rigid motion under a constant twist; the flow is an exact screw."""
-    twist = (DEFAULT_CONSTANT_TWIST if twist is None
-             else np.asarray(twist, dtype=float)).copy()
+    """Rigid motion under a constant twist; the flow is an exact screw.
+    Raises ValueError unless ``twist`` holds six finite entries; ``rate``
+    returns the list it builds here."""
+    twist = np.asarray(DEFAULT_CONSTANT_TWIST if twist is None else twist,
+                       dtype=float)
+    if twist.shape != (6,) or not all(map(math.isfinite, twist.tolist())):
+        raise ValueError(f"twist must be six finite entries, got "
+                         f"{twist.tolist()!r}")
+    rates = (twist.tolist(), [])
     pose0 = np.eye(4) if initial_pose is None else np.asarray(initial_pose,
                                                              dtype=float)
 
     def rate(t, pose, aux):
-        return twist, np.zeros(0)
+        return rates
 
     def jacobian(t, pose, aux):
         return np.zeros((6, 6))
@@ -661,21 +686,23 @@ def make_heavy_top_problem(inertia=(2.0, 2.0, 1.0), mgl: float = 1.0,
                 + [[0.0] * 9] * 3)
 
     # R^T e3, the spatial vertical in the body frame, is the third row of R;
-    # rate and invariants work on floats: on 3-vectors NumPy's per-call
-    # overhead outweighs the arithmetic
+    # rate, Jacobian and invariants take the momentum as floats and the rate
+    # returns lists: on 3-vectors NumPy's per-call overhead outweighs the
+    # arithmetic
     def rate(t, pose, momentum):
-        m0, m1, m2 = m = momentum.tolist()
+        m0, m1, m2 = momentum
         omega = [m0 / i0, m1 / i1, m2 / i2]
         gravity = _cross(pose[2, :3].tolist(), chi_list)
-        torque = [g + mgl * c for g, c in zip(_cross(m, omega), gravity)]
-        return np.array(omega + [0.0, 0.0, 0.0]), np.array(torque)
+        torque = [g + mgl * c for g, c in zip(_cross(momentum, omega),
+                                              gravity)]
+        return omega + [0.0, 0.0, 0.0], torque
 
     def jacobian(t, pose, momentum):
         # rows (twist, torque), columns (body rotation, body translation,
         # momentum); the vertical moves as d(R^T e3) = hat(R^T e3) @ d_rot, so
         # the gravity block is -mgl hat(chi) hat(v) = -mgl (v chi^T - (chi.v) I)
         # and the momentum block is hat(momentum) inertia^-1 - hat(omega)
-        m0, m1, m2 = momentum.tolist()
+        m0, m1, m2 = momentum
         w0, w1, w2 = m0 / i0, m1 / i1, m2 / i2
         v = pose[2, :3].tolist()
         gravity = _mat3(_ZERO3, mgl * _dot(chi_list, v),
@@ -687,12 +714,12 @@ def make_heavy_top_problem(inertia=(2.0, 2.0, 1.0), mgl: float = 1.0,
                                     for g, s in zip(gravity, spin)])
 
     def energy(pose, momentum):
-        m0, m1, m2 = m = momentum.tolist()
-        return (0.5 * _dot(m, (m0 / i0, m1 / i1, m2 / i2))
+        m0, m1, m2 = momentum
+        return (0.5 * _dot(momentum, (m0 / i0, m1 / i1, m2 / i2))
                 + mgl * _dot(pose[2, :3].tolist(), chi_list))
 
     def vertical_momentum(pose, momentum):
-        return _dot(momentum.tolist(), pose[2, :3].tolist())
+        return _dot(momentum, pose[2, :3].tolist())
 
     field = TwistField("body", rate, aux0=momentum0, jacobian=jacobian)
     invariants = {"energy": energy, "vertical_momentum": vertical_momentum}
@@ -738,10 +765,11 @@ def varying_strain(length: float, base_curvature: float = 0.5,
 
 
 def _beam_problem(strain, name: str) -> Problem:
-    """A beam as an arclength problem: the body field is the strain."""
+    """A beam as an arclength problem: the body field is the strain, as
+    floats."""
 
     def rate(s, pose, aux):
-        return strain(s), np.zeros(0)
+        return _floats(strain(s), 6, "strain"), []
 
     return Problem(name, TwistField("body", rate), np.eye(4))
 

@@ -1,7 +1,9 @@
+import cProfile
 import dataclasses
 import hashlib
 import importlib
 import math
+import pstats
 
 import numpy as np
 import pytest
@@ -32,7 +34,8 @@ from liegroup_maps.integrate import (
     mk_rk4_step,
     varying_strain,
 )
-from liegroup_maps.se3 import se3_cay, se3_dcay_inv, se3_dexp_inv, se3_exp
+from liegroup_maps.se3 import (se3_cay, se3_cay_inv, se3_dcay_inv,
+                               se3_dexp_inv, se3_exp, se3_log)
 
 TWIST = np.array([0.3, -0.2, 0.4, 1.0, 0.5, -0.3])
 
@@ -133,6 +136,78 @@ def test_twist_field_frame_validation():
         TwistField("mixed", lambda t, pose, aux: (np.zeros(6), np.zeros(0)))
 
 
+_METHODS = ("mk_rk4", "implicit_midpoint", "piecewise")
+
+
+@pytest.mark.parametrize("method", _METHODS)
+@pytest.mark.parametrize("aux_rate", [[1.0, 2.0, 3.0, 4.0], np.ones(2)],
+                         ids=["long_list", "short_array"])
+def test_aux_rate_of_the_wrong_length_raises(method, aux_rate):
+    # RK4 used to drop a fourth entry without a word, and to run a short
+    # rate through every step until the trajectory was built; the other
+    # steppers raised bare broadcast errors
+    def rate(t, pose, aux):
+        return TWIST, aux_rate
+
+    problem = Problem("bad", TwistField("body", rate, aux0=np.zeros(3)),
+                      np.eye(4))
+    with pytest.raises(ValueError, match=r"aux rate must be a 3-vector, "
+                                         rf"got shape \({len(aux_rate)},\)"):
+        integrate(problem, method, "exponential", 0.1, 1.0)
+
+
+@pytest.mark.parametrize("method", _METHODS)
+def test_twist_of_the_wrong_length_raises(method):
+    def rate(t, pose, aux):
+        return [0.1] * 5, []
+
+    problem = Problem("bad", TwistField("body", rate), np.eye(4))
+    with pytest.raises(ValueError,
+                       match=r"twist must be a 6-vector, got shape \(5,\)"):
+        integrate(problem, method, "cayley", 0.1, 1.0)
+
+
+def _assert_same_bytes(got, want):
+    for entry in dataclasses.fields(want):
+        a, b = getattr(got, entry.name), getattr(want, entry.name)
+        if isinstance(b, np.ndarray):
+            assert (a.dtype, a.shape, a.tobytes()) == (b.dtype, b.shape,
+                                                        b.tobytes())
+        else:
+            assert a == b
+
+
+@pytest.mark.parametrize("kind", ["exponential", "cayley"])
+@pytest.mark.parametrize("method", _METHODS)
+def test_array_rates_give_the_bytes_of_list_rates(method, kind):
+    # the heavy top returns float lists; the same rates as arrays pass
+    # through the steppers' one conversion rule
+    problem = make_heavy_top_problem(momentum0=(3.0, -2.0, 4.0))
+    field = problem.field
+    assert all(type(v) is list
+               for v in field.rate(0.0, np.eye(4), [3.0, -2.0, 4.0]))
+
+    def array_rate(t, pose, aux):
+        return tuple(np.array(v) for v in field.rate(t, pose, aux))
+
+    arrays = dataclasses.replace(
+        problem, field=dataclasses.replace(field, rate=array_rate))
+    _assert_same_bytes(integrate(arrays, method, kind, 0.02, 0.6),
+                       integrate(problem, method, kind, 0.02, 0.6))
+
+
+def test_rk4_steps_build_no_arrays_for_the_state():
+    # the stage states and rates are float lists, so numpy.array runs a
+    # fixed number of times per run (the trajectory's arrays); an RK4 step
+    # used to call it 13 times.  cProfile counts calls, not time.
+    problem = make_heavy_top_problem(momentum0=(3.0, -2.0, 4.0))
+    profile = cProfile.Profile()
+    profile.runcall(integrate, problem, "mk_rk4", "exponential", 1e-3, 0.2)
+    calls = sum(stat[1] for key, stat in pstats.Stats(profile).stats.items()
+                if key[2] == "<built-in method numpy.array>")
+    assert calls <= 2 * 200 + 10
+
+
 def test_make_problem_dispatch():
     assert make_problem("constant_twist").name == "constant_twist"
     assert make_problem("heavy_top").name == "heavy_top"
@@ -145,10 +220,30 @@ def test_make_problem_dispatch():
 # ---------------------------------------------------------------------------
 
 
+@pytest.mark.parametrize("twist", [(1.0, 2.0), np.ones(7),
+                                   [math.nan, 0.0, 0.0, 0.0, 0.0, 0.0],
+                                   [0.0, 0.0, 0.0, math.inf, 0.0, 0.0]],
+                         ids=["short", "long", "nan", "inf"])
+def test_constant_twist_rejects_a_bad_twist(twist):
+    # a short twist used to fail inside step 1 and a NaN one to be reported
+    # as a Newton failure
+    with pytest.raises(ValueError, match="twist must be six finite entries"):
+        make_constant_twist_problem(twist)
+
+
+def test_constant_twist_rate_returns_the_list_it_built():
+    field = make_constant_twist_problem(TWIST).field
+    twist, aux_rate = field.rate(0.0, np.eye(4), [])
+    assert twist == TWIST.tolist() and aux_rate == []
+    assert field.rate(1.0, se3_exp(TWIST), [])[0] is twist
+
+
 def test_rk4_constant_twist_increment_is_exact():
     problem = make_constant_twist_problem(TWIST)
     result = mk_rk4_step(exponential_map(), problem.field, np.eye(4), 0.0, 0.37)
-    assert_allclose(result.coords, 0.37 * TWIST, atol=1e-15)
+    # a step from the identity: the increment is the chart coordinate of
+    # the new pose
+    assert_allclose(se3_log(result.pose), 0.37 * TWIST, atol=1e-15)
 
 
 @pytest.mark.parametrize("h", [1.0, 0.3, 0.05])
@@ -190,10 +285,11 @@ def test_cayley_constant_spin_increment_is_half_angle_tangent():
         np.array([0.0, 0.0, omega, 0.0, 0.0, 0.0]))
     h = 0.01
     result = mk_rk4_step(cayley_map(), problem.field, np.eye(4), 0.0, h)
-    assert_allclose(result.coords[2], math.tan(0.5 * omega * h), atol=1e-12)
-    assert_allclose(result.coords[[0, 1, 3, 4, 5]], np.zeros(5), atol=1e-15)
+    coords = se3_cay_inv(result.pose)
+    assert_allclose(coords[2], math.tan(0.5 * omega * h), atol=1e-12)
+    assert_allclose(coords[[0, 1, 3, 4, 5]], np.zeros(5), atol=1e-15)
     # the closed step then reproduces the exact rotation
-    want = se3_exp(h * problem.field.rate(0.0, np.eye(4), np.zeros(0))[0])
+    want = se3_exp(h * np.array(problem.field.rate(0.0, np.eye(4), [])[0]))
     assert_allclose(result.pose, want, atol=1e-12)
 
 
@@ -202,7 +298,7 @@ def test_midpoint_constant_twist_converges_in_one_update():
     result = implicit_midpoint_step(exponential_map(), problem.field,
                                     np.eye(4), 0.0, 0.25)
     assert result.iterations == 1
-    assert_allclose(result.coords, 0.25 * TWIST, atol=1e-14)
+    assert_allclose(se3_log(result.pose), 0.25 * TWIST, atol=1e-14)
     assert final_pose_deviation(se3_exp(0.25 * TWIST), result.pose) < 1e-13
 
 
@@ -214,7 +310,8 @@ def test_midpoint_constant_twist_cayley_converges():
                                     0.0, 0.2)
     assert result.iterations >= 2
     # increment stays on the spin axis
-    assert_allclose(result.coords[[0, 1, 3, 4, 5]], np.zeros(5), atol=1e-13)
+    assert_allclose(se3_cay_inv(result.pose)[[0, 1, 3, 4, 5]], np.zeros(5),
+                    atol=1e-13)
 
 
 def test_midpoint_newton_failure_carries_residual():
