@@ -2,94 +2,11 @@
 rigid-motion groups, their trivialized differentials, inverses and
 directional derivatives, plus Lie-group ODE integrators built on them."""
 
-from .core import (
-    Ad6,
-    ChartDomainError,
-    ad6,
-    hat3,
-    hat6,
-    is_rotation,
-    pose_inverse,
-    vee3,
-    vee6,
-)
-from .scalars import (
-    DEXPINV_DOMAIN_LIMIT,
-    SERIES_WINDOW,
-    SMALL_ANGLE_THRESHOLD,
-    ensure_dexp_inv_domain,
-    force_branch,
-)
-from .oracle import (
-    CayleyTranslationMismatch,
-    SeriesConfig,
-    adjoint_cay_A_forms,
-    adjoint_vs_se3_cay_mismatch,
-    fd_directional,
-    resolvent_cay,
-    series_dexp,
-    series_dexp_inv,
-    series_exp,
-)
-from .so3 import (
-    sigma,
-    so3_cay,
-    so3_cay_inv,
-    so3_dcay,
-    so3_dcay_inv,
-    so3_ddcay,
-    so3_ddcay_inv,
-    so3_ddexp,
-    so3_ddexp_inv,
-    so3_dexp,
-    so3_dexp_inv,
-    so3_exp,
-    so3_log,
-)
-from .se3 import (
-    adjoint_cay,
-    se3_cay,
-    se3_cay_inv,
-    se3_dcay,
-    se3_dcay_inv,
-    se3_ddcay,
-    se3_ddcay_inv,
-    se3_ddcay_inv_tangent,
-    se3_ddexp,
-    se3_ddexp_inv,
-    se3_ddexp_inv_tangent,
-    se3_dexp,
-    se3_dexp_adform,
-    se3_dexp_inv,
-    se3_dexp_inv_adform,
-    se3_exp,
-    se3_log,
-)
-from .integrate import (
-    DEFAULT_CONSTANT_TWIST,
-    MAX_STEPS,
-    ConvergenceResult,
-    CoordinateMap,
-    IntegrationError,
-    NewtonConvergenceError,
-    Problem,
-    StepResult,
-    Trajectory,
-    TwistField,
-    beam_reconstruct,
-    cayley_map,
-    convergence_study,
-    coordinate_map,
-    exponential_map,
-    final_pose_deviation,
-    helix_strain,
-    implicit_midpoint_step,
-    integrate,
-    make_constant_twist_problem,
-    make_heavy_top_problem,
-    make_problem,
-    mk_rk4_step,
-    varying_strain,
-)
+from .core import *
+from .scalars import *
+from .oracle import *
+from .so3 import *
+from .se3 import *
+from .integrate import *
 
 __version__ = "0.1.0"

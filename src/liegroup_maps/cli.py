@@ -406,7 +406,8 @@ _CHECKS = [
                         - Ad6(ops["se3_exp"](s)))),
 ]
 
-VERIFY_SUITES = ("all", "so3", "se3", "cayley", "derivatives", "lemmas")
+# "all", then each suite in the order of its first row
+VERIFY_SUITES = ("all", *dict.fromkeys(row[0] for row in _CHECKS))
 
 
 # The operations the checks call, each a fault-injection target; this is not
@@ -440,6 +441,8 @@ def _verify_ops() -> dict:
 
 
 def cmd_verify(args) -> int:
+    if args.n < 1:
+        raise CliError(f"--n must be at least 1, got {args.n}")
     ops = _verify_ops()
     results = []
     for index, (suite, name, tol, sample, residual) in enumerate(_CHECKS):

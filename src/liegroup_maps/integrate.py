@@ -38,6 +38,33 @@ from .se3 import (_blocks66, _cay_pose, _dcay_inv_blocks, _dexp_inv_blocks,
                   se3_ddexp_inv_tangent, se3_dexp, se3_exp)
 from .so3 import _angle, _sigma
 
+__all__ = [
+    "DEFAULT_CONSTANT_TWIST",
+    "MAX_STEPS",
+    "ConvergenceResult",
+    "CoordinateMap",
+    "IntegrationError",
+    "NewtonConvergenceError",
+    "Problem",
+    "StepResult",
+    "Trajectory",
+    "TwistField",
+    "beam_reconstruct",
+    "cayley_map",
+    "convergence_study",
+    "coordinate_map",
+    "exponential_map",
+    "final_pose_deviation",
+    "helix_strain",
+    "implicit_midpoint_step",
+    "integrate",
+    "make_constant_twist_problem",
+    "make_heavy_top_problem",
+    "make_problem",
+    "mk_rk4_step",
+    "varying_strain",
+]
+
 _FRAMES = ("body", "spatial")
 _ZERO3 = (0.0, 0.0, 0.0)
 
@@ -204,9 +231,10 @@ def coordinate_map(kind) -> CoordinateMap:
 class TwistField:
     """Twist along a motion, with optional auxiliary ODE state.
 
-    ``rate(t, pose, aux)`` receives ``aux`` as a list of ``n = aux0.size``
-    floats and returns ``(twist, aux_rate)``: ``twist`` has 6 entries in the
-    frame named by ``frame`` and ``aux_rate`` has ``n``.  Lists of floats
+    ``aux0`` is 1-D; any other shape raises ValueError.  ``rate(t, pose,
+    aux)`` receives ``aux`` as a list of ``n = aux0.size`` floats and
+    returns ``(twist, aux_rate)``: ``twist`` has 6 entries in the frame
+    named by ``frame`` and ``aux_rate`` has ``n``.  Lists of floats
     pass to the steppers as they are; arrays and other sequences are
     accepted and converted, and a wrong length raises ValueError.  Fields
     without auxiliary state return an empty rate.
@@ -216,7 +244,8 @@ class TwistField:
     ``(xi, aux)``, where ``xi`` perturbs the pose in the field's frame:
     ``pose @ exp(hat(xi))`` for a body field, ``exp(hat(xi)) @ pose`` for a
     spatial one.  The implicit midpoint rule builds its Newton matrix from
-    it; without it, central differences of ``rate`` stand in.
+    it, and raises ValueError naming it when its shape is not
+    ``(6+n, 6+n)``; without it, central differences of ``rate`` stand in.
     """
 
     frame: str
@@ -229,7 +258,10 @@ class TwistField:
             raise ValueError(
                 f"unknown twist frame {self.frame!r}; expected one of {_FRAMES}"
             )
-        object.__setattr__(self, "aux0", np.asarray(self.aux0, dtype=float))
+        aux0 = np.asarray(self.aux0, dtype=float)
+        if aux0.ndim != 1:
+            raise ValueError(f"aux0 must be 1-D, got shape {aux0.shape}")
+        object.__setattr__(self, "aux0", aux0)
 
 
 @dataclass(frozen=True)
@@ -363,16 +395,18 @@ def mk_rk4_step(cmap: CoordinateMap, field: TwistField, pose: np.ndarray,
 
 def _midpoint_residual(cmap: CoordinateMap, field: TwistField,
                        pose: np.ndarray, t: float, h: float, aux: list,
-                       state: np.ndarray):
+                       state: list):
     """Residual of the implicit-midpoint equations, the point at the full
     increment and a closure that assembles the Newton matrix there.
 
-    ``state`` stacks the chart increment (first six entries) with the
-    end-of-step auxiliary state.  The residual is an array; the field gets
-    the midpoint auxiliary state as floats.
+    ``state`` is a float list that stacks the chart increment (first six
+    entries) with the end-of-step auxiliary state.  The residual is a float
+    list too; the field gets the midpoint auxiliary state as floats.  The
+    closure raises ValueError when the field's Jacobian is not
+    ``(6+n, 6+n)``.
     """
-    frame, values = field.frame, state.tolist()
-    coords, z_end = values[:6], values[6:]
+    frame, size = field.frame, len(state)
+    coords, z_end = state[:6], state[6:]
     t_mid = t + 0.5 * h
     aux_mid = [0.5 * (a + z) for a, z in zip(aux, z_end)]
     half = cmap.at([0.5 * c for c in coords])
@@ -381,25 +415,30 @@ def _midpoint_residual(cmap: CoordinateMap, field: TwistField,
     point = cmap.at(coords)
     rate = point.dmap_inv(twist, frame)
     aux_rate = _floats(aux_rate, len(z_end), "aux rate")
-    residual = np.array([c - h * r for c, r in zip(coords, rate)]
-                        + [(z - a) - h * r
-                           for z, a, r in zip(z_end, aux, aux_rate)])
+    residual = [c - h * r for c, r in zip(coords, rate)] + [
+        (z - a) - h * r for z, a, r in zip(z_end, aux, aux_rate)]
 
     def jacobian() -> np.ndarray:
         if field.jacobian is None:
             field_jac = _field_jacobian_fd(field, t_mid, mid_pose, aux_mid)
         else:
-            field_jac = field.jacobian(t_mid, mid_pose, aux_mid)
+            field_jac = np.asarray(field.jacobian(t_mid, mid_pose, aux_mid),
+                                   dtype=float)
+            if field_jac.shape != (size, size):
+                raise ValueError(
+                    f"TwistField.jacobian must return shape ({size}, {size}),"
+                    f" (6+n, 6+n) for n = {size - 6} aux entries; got "
+                    f"{field_jac.shape}")
         # chain rule: a chart step d moves the midpoint pose by
         # half.dmap_matrix(frame) @ d / 2 in the field's frame and an
         # end-state step moves the midpoint aux by half of it, so the matrix
         # is I - h [[dmap_inv, 0], [0, I]] field_jac [[dmap/2, 0], [0, I/2]]
         # - h d(dmap_inv twist)/d coords, built on one fresh array
-        out = (-0.5 * h) * np.asarray(field_jac, dtype=float)
+        out = (-0.5 * h) * field_jac
         out[:, :6] = out[:, :6] @ half.dmap_matrix(frame)
         out[:6] = point.dmap_inv_matrix(frame) @ out[:6]
         out[:6, :6] -= h * point.dmap_inv_derivative(twist, frame)
-        out.flat[::state.size + 1] += 1.0
+        out.flat[::size + 1] += 1.0
         return out
 
     return residual, point, jacobian
@@ -422,18 +461,18 @@ def _field_jacobian_fd(field: TwistField, t: float, pose: np.ndarray,
                             for e in basis])
 
 
-def _midpoint_start(history: list, aux: list) -> np.ndarray:
+def _midpoint_start(history: list, aux: list) -> list:
     """Newton's start for the next implicit-midpoint step from the stacked
-    states (increment, end-of-step aux) of the last one to three steps,
-    newest last: ``3 (s_n - s_{n-1}) + s_{n-2}``, the linear extrapolation
-    after two steps, and after one the increment with the aux state moved
-    on from ``aux``, where the step started, by its change."""
+    float states (increment, end-of-step aux) of the last one to three
+    steps, newest last: ``3 (s_n - s_{n-1}) + s_{n-2}``, the linear
+    extrapolation after two steps, and after one the increment with the aux
+    state moved on from ``aux``, where the step started, by its change."""
     newest = history[-1]
-    previous = (history[-2] if len(history) > 1
-                else np.concatenate([newest[:6], aux]))
+    previous = history[-2] if len(history) > 1 else newest[:6] + aux
     if len(history) < 3:
-        return newest + (newest - previous)
-    return 3.0 * (newest - previous) + history[-3]
+        return [a + (a - b) for a, b in zip(newest, previous)]
+    return [3.0 * (a - b) + c for a, b, c in zip(newest, previous,
+                                                 history[-3])]
 
 
 def _midpoint(cmap: CoordinateMap, field: TwistField, h: float,
@@ -452,7 +491,7 @@ def _midpoint(cmap: CoordinateMap, field: TwistField, h: float,
     finite and positive; a step raises NewtonConvergenceError as soon as
     the residual is non-finite, or when it fails to drop below
     ``newton_tol`` within ``max_iters`` updates.  The Newton state is one
-    array; ``advance.residuals`` lists the residual norms of the last step,
+    float list; ``advance.residuals`` lists the residual norms of the last step,
     one before each update and one for the accepted state.
     """
     if not (isinstance(max_iters, (int, np.integer)) and max_iters >= 0):
@@ -463,12 +502,12 @@ def _midpoint(cmap: CoordinateMap, field: TwistField, h: float,
 
     def advance(pose: np.ndarray, t: float, aux: list) -> tuple:
         nonlocal start, inverse, history
-        state = np.concatenate([np.zeros(6), aux]) if start is None else start
+        state = [0.0] * 6 + aux if start is None else start
         residuals.clear()
         for iteration in range(max_iters + 1):
             residual, point, jacobian = _midpoint_residual(
                 cmap, field, pose, t, h, aux, state)
-            res_norm = _max_abs(residual.tolist())
+            res_norm = _max_abs(residual)
             residuals.append(res_norm)
             if not math.isfinite(res_norm):
                 raise NewtonConvergenceError(
@@ -484,10 +523,11 @@ def _midpoint(cmap: CoordinateMap, field: TwistField, h: float,
                     f"(last residual {res_norm:.3e})", res_norm)
             if iteration or inverse is None:
                 inverse = np.linalg.inv(jacobian())
-            state = state - inverse @ residual
+            state = [s - d for s, d in zip(state,
+                                           (inverse @ residual).tolist())]
         history = history[-2:] + [state]
         start = _midpoint_start(history, aux)
-        return point.compose(pose, field.frame), state[6:].tolist(), iteration
+        return point.compose(pose, field.frame), state[6:], iteration
 
     advance.residuals = residuals
     return advance
@@ -816,11 +856,14 @@ def convergence_study(problem: Problem, methods: Sequence[str], map_kind,
     The reference trajectory is one mk_rk4 run with the exponential chart at
     min(h_list)/8; its truncation error is far below every candidate's.
     Errors use the left-invariant final-pose deviation; the slope is the
-    least-squares fit of log error vs log h.
+    least-squares fit of log error vs log h.  Raises ValueError unless the
+    step sizes are at least three, distinct, and divide ``t_end``.
     """
     h_list = sorted(h_list, reverse=True)
     if len(h_list) < 3:
         raise ValueError("need at least three step sizes")
+    if len(set(h_list)) < len(h_list):
+        raise ValueError(f"step sizes must be distinct, got {h_list!r}")
     reference_h = min(h_list) / 8.0
     _require_finite_positive("step sizes and end time", t_end, reference_h,
                              *h_list)

@@ -23,6 +23,7 @@ from liegroup_maps import (
 )
 from liegroup_maps.cli import (
     TRAJECTORY_COLUMNS,
+    VERIFY_SUITES,
     _EVAL_TABLE,
     _verify_ops,
     main,
@@ -180,6 +181,20 @@ def test_verify_all_runs_every_check(capsys):
     code, out, _ = _run(capsys, ["verify", "all", "--n", "5"])
     assert code == 0
     assert len(_rows(out)) == 1 + 39
+
+
+@pytest.mark.parametrize("n", ["0", "-3"])
+def test_verify_rejects_a_sample_count_below_one(capsys, n):
+    # such a count used to pass every check on no samples at all
+    code, out, err = _run(capsys, ["verify", "so3", "--n", n])
+    assert code == 2
+    assert out == ""
+    assert f"--n must be at least 1, got {n}" in err
+
+
+def test_verify_suites_follow_the_check_rows():
+    assert VERIFY_SUITES == ("all", "so3", "se3", "cayley", "derivatives",
+                             "lemmas")
 
 
 # sha256 of the (suite, check, tolerance, worst_x, worst_y) rows of
@@ -389,6 +404,15 @@ def test_convergence_rejects_short_h_list(capsys):
     code, _, err = _run(capsys, ["convergence", "--h-list", "0.1,0.05"])
     assert code == 2
     assert "three" in err
+
+
+def test_convergence_rejects_repeated_step(capsys):
+    code, out, err = _run(capsys, ["convergence", "--problem", "heavy_top",
+                                   "--h-list", "0.1,0.1,0.05",
+                                   "--t-end", "1"])
+    assert code == 2
+    assert out == ""
+    assert "step sizes must be distinct" in err
 
 
 def test_convergence_rejects_nondividing_step(capsys):

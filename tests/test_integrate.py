@@ -167,6 +167,39 @@ def test_twist_of_the_wrong_length_raises(method):
         integrate(problem, method, "cayley", 0.1, 1.0)
 
 
+@pytest.mark.parametrize("method", _METHODS)
+@pytest.mark.parametrize("aux0, shape", [([[1.0, 2.0]], r"\(1, 2\)"),
+                                         (1.0, r"\(\)")],
+                         ids=["2-D", "scalar"])
+def test_aux0_that_is_not_1d_raises(method, aux0, shape):
+    # such an aux0 used to fail inside step 1: a bare TypeError from RK4 and
+    # the piecewise rule, a NumPy dimension error from the midpoint; now the
+    # field is refused when it is built, before any method runs
+    def rate(t, pose, aux):
+        return TWIST, aux
+
+    with pytest.raises(ValueError, match=r"aux0 must be 1-D, got shape "
+                                         + shape):
+        problem = Problem("bad", TwistField("body", rate, aux0=aux0),
+                          np.eye(4))
+        integrate(problem, method, "exponential", 0.1, 1.0)
+
+
+@pytest.mark.parametrize("shape", [(6, 6), (9, 6)])
+def test_field_jacobian_of_the_wrong_shape_raises(shape):
+    # a 6x6 Jacobian of a field with three aux entries used to fail in a bare
+    # matmul, a 9x6 one in LinAlgError; neither named the field
+    problem = make_heavy_top_problem()
+    field = dataclasses.replace(
+        problem.field, jacobian=lambda t, pose, aux: np.zeros(shape))
+    with pytest.raises(ValueError, match=rf"TwistField.jacobian must return "
+                                         rf"shape \(9, 9\), \(6\+n, 6\+n\) "
+                                         rf"for n = 3 aux entries; got "
+                                         rf"\({shape[0]}, {shape[1]}\)"):
+        integrate(dataclasses.replace(problem, field=field),
+                  "implicit_midpoint", "cayley", 0.05, 0.5)
+
+
 def _assert_same_bytes(got, want):
     for entry in dataclasses.fields(want):
         a, b = getattr(got, entry.name), getattr(want, entry.name)
@@ -206,6 +239,22 @@ def test_rk4_steps_build_no_arrays_for_the_state():
     calls = sum(stat[1] for key, stat in pstats.Stats(profile).stats.items()
                 if key[2] == "<built-in method numpy.array>")
     assert calls <= 2 * 200 + 10
+
+
+@pytest.mark.parametrize("kind", ["exponential", "cayley"])
+def test_midpoint_steps_build_no_arrays_for_the_state(kind):
+    # the Newton state, its warm start and the residual are float lists, so
+    # numpy.array runs only while a run is set up and built; the state used
+    # to go through it twice a step.  cProfile counts calls, not time.
+    def array_calls(t_end):
+        problem = make_heavy_top_problem(momentum0=(3.0, -2.0, 4.0))
+        profile = cProfile.Profile()
+        profile.runcall(integrate, problem, "implicit_midpoint", kind, 1e-3,
+                        t_end)
+        return sum(stat[1] for key, stat in pstats.Stats(profile).stats.items()
+                   if key[2] == "<built-in method numpy.array>")
+
+    assert array_calls(0.2) == array_calls(0.1)
 
 
 def test_make_problem_dispatch():
@@ -343,7 +392,8 @@ def _spatial_field():
 
 
 def _newton_jacobian(cmap, field, pose, aux, h, state):
-    return _midpoint_residual(cmap, field, pose, 0.0, h, aux, state)[2]()
+    return _midpoint_residual(cmap, field, pose, 0.0, h, aux,
+                              state.tolist())[2]()
 
 
 def _residual_central_difference(cmap, field, pose, aux, h, state):
@@ -353,9 +403,11 @@ def _residual_central_difference(cmap, field, pose, aux, h, state):
         up, down = state.copy(), state.copy()
         up[j] += eps
         down[j] -= eps
-        fd[:, j] = (_midpoint_residual(cmap, field, pose, 0.0, h, aux, up)[0]
-                    - _midpoint_residual(cmap, field, pose, 0.0, h, aux,
-                                         down)[0]) / (2.0 * eps)
+        fd[:, j] = (np.array(_midpoint_residual(cmap, field, pose, 0.0, h,
+                                                aux, up.tolist())[0])
+                    - np.array(_midpoint_residual(cmap, field, pose, 0.0, h,
+                                                  aux, down.tolist())[0])
+                    ) / (2.0 * eps)
     return fd
 
 
@@ -856,6 +908,15 @@ def test_overflowing_step_count_rejected():
     assert _step_count(1.0 / MAX_STEPS, 1.0) == MAX_STEPS
     with pytest.raises(ValueError, match="overflows the limit"):
         _step_count(1e-12, 1.0)
+
+
+def test_convergence_study_rejects_repeated_step_sizes():
+    # a repeated step size used to give a NumPy division warning and a NaN
+    # pairwise order
+    problem = make_heavy_top_problem()
+    with pytest.raises(ValueError, match="step sizes must be distinct"):
+        convergence_study(problem, ["mk_rk4"], "exponential",
+                          [0.1, 0.1, 0.05], 1.0)
 
 
 def test_convergence_study_rejects_non_dividing_steps():
