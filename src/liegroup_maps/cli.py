@@ -466,7 +466,8 @@ def cmd_verify(args) -> int:
                 if crash is None:
                     crash = str(err)
                 value, x, y = math.inf, None, None
-            if value > worst:
+            # NaN compares false: the first NaN sample is and stays the worst
+            if value > worst or (value != value and worst == worst):
                 worst, worst_x, worst_y = value, x, y
         results.append({
             "suite": suite,

@@ -173,10 +173,19 @@ def Ad6(pose) -> np.ndarray:
     return out
 
 
+def _as_rigid_pose(m, name: str = "pose") -> np.ndarray:
+    """``m`` as a 4x4 float array with the bottom row of :func:`_as_pose`,
+    finite entries and a rotation block; ValueError otherwise."""
+    m = _as_pose(m, name)
+    if not (np.isfinite(m).all() and is_rotation(m[:3, :3])):
+        raise ValueError(f"{name} must be finite and rigid")
+    return m
+
+
 def pose_inverse(pose) -> np.ndarray:
-    """Group inverse of a rigid pose: [[R^T, -R^T r], [0, 1]].  For rigid
-    poses only: it checks neither the rotation block nor the bottom row."""
-    pose = _as_mat(pose, 4, "pose")
+    """Group inverse of a rigid pose: [[R^T, -R^T r], [0, 1]].  ValueError
+    unless ``pose`` is a finite rigid pose (:func:`_as_rigid_pose`)."""
+    pose = _as_rigid_pose(pose)
     rot_t = pose[:3, :3].T
     out = np.eye(4)
     out[:3, :3] = rot_t

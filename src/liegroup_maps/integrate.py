@@ -30,8 +30,8 @@ from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
-from .core import (ChartDomainError, _as_pose, _as_vec, _cross, _dot, _finite,
-                   _mat3, is_rotation, pose_inverse)
+from .core import (ChartDomainError, _as_rigid_pose, _as_vec, _cross, _dot,
+                   _finite, _mat3, pose_inverse)
 from .oracle import fd_directional
 from .se3 import (_blocks66, _cay_pose, _dcay_inv_blocks, _dexp_inv_blocks,
                   _exp_pose, se3_dcay, se3_ddcay_inv_tangent,
@@ -46,7 +46,6 @@ __all__ = [
     "IntegrationError",
     "NewtonConvergenceError",
     "Problem",
-    "StepResult",
     "Trajectory",
     "TwistField",
     "beam_reconstruct",
@@ -56,12 +55,10 @@ __all__ = [
     "exponential_map",
     "final_pose_deviation",
     "helix_strain",
-    "implicit_midpoint_step",
     "integrate",
     "make_constant_twist_problem",
     "make_heavy_top_problem",
     "make_problem",
-    "mk_rk4_step",
     "varying_strain",
 ]
 
@@ -277,18 +274,6 @@ class Problem:
 
 
 @dataclass(frozen=True)
-class StepResult:
-    """What a one-step call returns: the new pose and auxiliary state; an
-    implicit-midpoint step adds its Newton updates and the residual before
-    each."""
-
-    pose: np.ndarray
-    aux: np.ndarray
-    iterations: int = 0
-    residuals: tuple = ()
-
-
-@dataclass(frozen=True)
 class Trajectory:
     """Uniformly sampled motion with per-sample invariant records.
 
@@ -345,11 +330,6 @@ def _step_count(h: float, t_end: float) -> int:
     return round(ratio)
 
 
-def _field_aux(field: TwistField, aux) -> list:
-    """The auxiliary state a one-step call starts from, as floats."""
-    return _floats(field.aux0 if aux is None else aux, field.aux0.size, "aux")
-
-
 def _rk4(cmap: CoordinateMap, field: TwistField, h: float, *_):
     """Classical RK4 run through the chart; takes no Newton settings.
 
@@ -383,14 +363,6 @@ def _rk4(cmap: CoordinateMap, field: TwistField, h: float, *_):
         return cmap.at(coords).compose(pose, frame), aux_next, 0
 
     return advance
-
-
-def mk_rk4_step(cmap: CoordinateMap, field: TwistField, pose: np.ndarray,
-                t: float, h: float, aux=None) -> StepResult:
-    """Advance one classical RK4 step through the chart (:func:`_rk4`)."""
-    _require_finite_positive("step size", h)
-    pose, aux, _ = _rk4(cmap, field, h)(pose, t, _field_aux(field, aux))
-    return StepResult(pose, np.array(aux))
 
 
 def _midpoint_residual(cmap: CoordinateMap, field: TwistField,
@@ -491,24 +463,21 @@ def _midpoint(cmap: CoordinateMap, field: TwistField, h: float,
     finite and positive; a step raises NewtonConvergenceError as soon as
     the residual is non-finite, or when it fails to drop below
     ``newton_tol`` within ``max_iters`` updates.  The Newton state is one
-    float list; ``advance.residuals`` lists the residual norms of the last step,
-    one before each update and one for the accepted state.
+    float list.
     """
     if not (isinstance(max_iters, (int, np.integer)) and max_iters >= 0):
         raise ValueError("the Newton iteration limit must be an int >= 0")
     _require_finite_positive("Newton tolerance", newton_tol)
     start = inverse = None
-    history, residuals = [], []
+    history = []
 
     def advance(pose: np.ndarray, t: float, aux: list) -> tuple:
         nonlocal start, inverse, history
         state = [0.0] * 6 + aux if start is None else start
-        residuals.clear()
         for iteration in range(max_iters + 1):
             residual, point, jacobian = _midpoint_residual(
                 cmap, field, pose, t, h, aux, state)
             res_norm = _max_abs(residual)
-            residuals.append(res_norm)
             if not math.isfinite(res_norm):
                 raise NewtonConvergenceError(
                     f"implicit midpoint Newton iteration hit a non-finite "
@@ -529,20 +498,7 @@ def _midpoint(cmap: CoordinateMap, field: TwistField, h: float,
         start = _midpoint_start(history, aux)
         return point.compose(pose, field.frame), state[6:], iteration
 
-    advance.residuals = residuals
     return advance
-
-
-def implicit_midpoint_step(cmap: CoordinateMap, field: TwistField,
-                           pose: np.ndarray, t: float, h: float, aux=None,
-                           newton_tol: float = 1e-12,
-                           max_iters: int = 20) -> StepResult:
-    """Advance one cold, full-Newton step of :func:`_midpoint`."""
-    _require_finite_positive("step size", h)
-    advance = _midpoint(cmap, field, h, newton_tol, max_iters)
-    pose, aux, iterations = advance(pose, t, _field_aux(field, aux))
-    return StepResult(pose, np.array(aux), iterations,
-                      tuple(advance.residuals))
 
 
 def _piecewise(cmap: CoordinateMap, field: TwistField, h: float, *_):
@@ -610,9 +566,7 @@ def integrate(problem: Problem, method: str = "mk_rk4",
         raise ValueError(f"unknown method {method!r}; expected one of "
                          f"{_METHODS}")
     _require_finite_positive("step size and end time", h, t_end)
-    pose = _as_pose(problem.initial_pose, "initial pose")
-    if not (np.isfinite(pose).all() and is_rotation(pose[:3, :3])):
-        raise ValueError("initial pose must be finite and rigid")
+    pose = _as_rigid_pose(problem.initial_pose, "initial pose")
     cmap = coordinate_map(map_kind)
     field = problem.field
     n_steps = max(1, _step_count(h, t_end))

@@ -2,6 +2,7 @@
 
 import csv
 import hashlib
+import importlib
 import json
 import os
 import subprocess
@@ -25,6 +26,7 @@ from liegroup_maps.cli import (
     TRAJECTORY_COLUMNS,
     VERIFY_SUITES,
     _EVAL_TABLE,
+    _fmt_vec,
     _verify_ops,
     main,
 )
@@ -267,6 +269,38 @@ def test_every_fault_target_fails_verify(capsys, monkeypatch, target, suite):
     assert code == 1
     assert ("verify failure" if suite == "all"
             else "verify failure in lemma_") in err
+
+
+@pytest.mark.parametrize("nan_calls", [None, (2, 4)], ids=["every", "some"])
+def test_nan_residual_fails_its_check(capsys, monkeypatch, nan_calls):
+    # NaN compares false with the running worst, so a check whose residuals
+    # were all NaN used to pass with max_residual -1.000e+00 and no worst_x,
+    # and NaN samples among finite ones were skipped; in the cayley suite
+    # only cay_dcay_inverse_pair calls se3_dcay_inv at its sample, once each
+    se3 = importlib.import_module("liegroup_maps.se3")
+    clean, seen = se3.se3_dcay_inv, []
+
+    def patched(x):
+        seen.append(x)
+        if nan_calls is None or len(seen) in nan_calls:
+            return np.full((6, 6), np.nan)
+        return clean(x)
+
+    monkeypatch.setattr(se3, "se3_dcay_inv", patched)
+    argv = ["verify", "cayley", "--n", "5", "--seed", "1"]
+    code, out, err = _run(capsys, argv)
+    assert code == 1
+    first_nan = seen[nan_calls[0] - 1 if nan_calls else 0]
+    row = next(r for r in _rows(out) if r[1] == "cay_dcay_inverse_pair")
+    assert row[3:7] == ["nan", "1.0e-12", "fail", _fmt_vec(first_nan)]
+    assert ("verify failure in cay_dcay_inverse_pair: max residual nan "
+            f"exceeds 1.0e-12; worst case --x {_fmt_vec(first_nan)}") in err
+    seen.clear()
+    code, out, _ = _run(capsys, argv + ["--format", "json"])
+    assert code == 1
+    check = next(c for c in json.loads(out)["checks"]
+                 if c["check"] == "cay_dcay_inverse_pair")
+    assert (check["max_residual"], check["status"]) == (None, "fail")
 
 
 def test_fault_injection_leaves_library_untouched(capsys, monkeypatch):

@@ -109,6 +109,25 @@ def test_pose_accessors_and_inverse():
     assert_allclose(pose_inverse(pose) @ pose, np.eye(4), atol=1e-14)
 
 
+_SHEARED_ROW = np.eye(4)
+_SHEARED_ROW[3, 0] = 0.5
+_NAN_TRANSLATION = np.eye(4)
+_NAN_TRANSLATION[1, 3] = np.nan
+
+
+@pytest.mark.parametrize("bad, message", [
+    (_SHEARED_ROW, "bottom row of pose"),
+    (np.diag([2.0, 2.0, 2.0, 1.0]), "pose must be finite and rigid"),
+    (np.diag([1.0, 1.0, -1.0, 1.0]), "pose must be finite and rigid"),
+    (_NAN_TRANSLATION, "pose must be finite and rigid"),
+    (np.eye(3), "pose must be a 4x4 matrix"),
+], ids=["bottom-row", "scaled", "reflection", "nan-translation", "3x3"])
+def test_pose_inverse_rejects_a_non_rigid_pose(bad, message):
+    # unchecked, each of these returned a matrix that is not the inverse
+    with pytest.raises(ValueError, match=message):
+        pose_inverse(bad)
+
+
 def test_is_rotation():
     assert is_rotation(np.eye(3))
     assert is_rotation(random_rotation())

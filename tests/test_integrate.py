@@ -26,12 +26,10 @@ from liegroup_maps.integrate import (
     exponential_map,
     final_pose_deviation,
     helix_strain,
-    implicit_midpoint_step,
     integrate,
     make_constant_twist_problem,
     make_heavy_top_problem,
     make_problem,
-    mk_rk4_step,
     varying_strain,
 )
 from liegroup_maps.se3 import (se3_cay, se3_cay_inv, se3_dcay_inv,
@@ -111,7 +109,8 @@ def test_chart_point_matches_the_public_maps(kind):
                                          ("cayley", "_sigma")])
 def test_rk4_step_checks_the_chart_once_per_point(kind, check, monkeypatch):
     # stages two to four and the end of the step are the four chart points;
-    # the first stage sits at the origin, which is checked once per chart
+    # the first stage sits at the origin, which is checked once per chart,
+    # and a run builds a fresh chart, so its origin adds one check per run
     calls = []
     so3 = importlib.import_module("liegroup_maps.so3")
     original = getattr(so3, check)
@@ -126,9 +125,12 @@ def test_rk4_step_checks_the_chart_once_per_point(kind, check, monkeypatch):
     cmap = coordinate_map(kind)
     problem = make_heavy_top_problem(momentum0=(3.0, -2.0, 4.0))
     assert cmap.origin is cmap.origin and len(calls) == 1
-    calls.clear()
-    mk_rk4_step(cmap, problem.field, np.eye(4), 0.0, 1e-3)
-    assert len(calls) == 4
+    counts = []
+    for n_steps in (1, 2):
+        calls.clear()
+        integrate(problem, "mk_rk4", kind, 1e-3, n_steps * 1e-3)
+        counts.append(len(calls))
+    assert counts[1] - counts[0] == 4
 
 
 def test_twist_field_frame_validation():
@@ -289,10 +291,10 @@ def test_constant_twist_rate_returns_the_list_it_built():
 
 def test_rk4_constant_twist_increment_is_exact():
     problem = make_constant_twist_problem(TWIST)
-    result = mk_rk4_step(exponential_map(), problem.field, np.eye(4), 0.0, 0.37)
+    pose = integrate(problem, "mk_rk4", "exponential", 0.37, 0.37).final_pose
     # a step from the identity: the increment is the chart coordinate of
     # the new pose
-    assert_allclose(se3_log(result.pose), 0.37 * TWIST, atol=1e-15)
+    assert_allclose(se3_log(pose), 0.37 * TWIST, atol=1e-15)
 
 
 @pytest.mark.parametrize("h", [1.0, 0.3, 0.05])
@@ -320,10 +322,10 @@ def test_body_frame_multiplies_on_right():
 
 
 def test_zero_field_leaves_pose_fixed():
-    problem = make_constant_twist_problem(np.zeros(6))
     pose0 = se3_exp(np.array([0.1, 0.4, 0.0, 1.0, 2.0, 3.0]))
-    result = mk_rk4_step(exponential_map(), problem.field, pose0, 0.0, 0.5)
-    assert_allclose(result.pose, pose0)
+    problem = make_constant_twist_problem(np.zeros(6), initial_pose=pose0)
+    run = integrate(problem, "mk_rk4", "exponential", 0.5, 0.5)
+    assert_allclose(run.final_pose, pose0)
 
 
 def test_cayley_constant_spin_increment_is_half_angle_tangent():
@@ -333,42 +335,41 @@ def test_cayley_constant_spin_increment_is_half_angle_tangent():
     problem = make_constant_twist_problem(
         np.array([0.0, 0.0, omega, 0.0, 0.0, 0.0]))
     h = 0.01
-    result = mk_rk4_step(cayley_map(), problem.field, np.eye(4), 0.0, h)
-    coords = se3_cay_inv(result.pose)
+    pose = integrate(problem, "mk_rk4", "cayley", h, h).final_pose
+    coords = se3_cay_inv(pose)
     assert_allclose(coords[2], math.tan(0.5 * omega * h), atol=1e-12)
     assert_allclose(coords[[0, 1, 3, 4, 5]], np.zeros(5), atol=1e-15)
     # the closed step then reproduces the exact rotation
     want = se3_exp(h * np.array(problem.field.rate(0.0, np.eye(4), [])[0]))
-    assert_allclose(result.pose, want, atol=1e-12)
+    assert_allclose(pose, want, atol=1e-12)
 
 
 def test_midpoint_constant_twist_converges_in_one_update():
     problem = make_constant_twist_problem(TWIST)
-    result = implicit_midpoint_step(exponential_map(), problem.field,
-                                    np.eye(4), 0.0, 0.25)
-    assert result.iterations == 1
-    assert_allclose(se3_log(result.pose), 0.25 * TWIST, atol=1e-14)
-    assert final_pose_deviation(se3_exp(0.25 * TWIST), result.pose) < 1e-13
+    run = integrate(problem, "implicit_midpoint", "exponential", 0.25, 0.25)
+    assert run.newton_iterations[0] == 1
+    assert_allclose(se3_log(run.final_pose), 0.25 * TWIST, atol=1e-14)
+    assert final_pose_deviation(se3_exp(0.25 * TWIST), run.final_pose) < 1e-13
 
 
 def test_midpoint_constant_twist_cayley_converges():
     omega = 1.1
     problem = make_constant_twist_problem(
         np.array([0.0, 0.0, omega, 0.0, 0.0, 0.0]))
-    result = implicit_midpoint_step(cayley_map(), problem.field, np.eye(4),
-                                    0.0, 0.2)
-    assert result.iterations >= 2
+    run = integrate(problem, "implicit_midpoint", "cayley", 0.2, 0.2)
+    assert run.newton_iterations[0] >= 2
     # increment stays on the spin axis
-    assert_allclose(se3_cay_inv(result.pose)[[0, 1, 3, 4, 5]], np.zeros(5),
+    assert_allclose(se3_cay_inv(run.final_pose)[[0, 1, 3, 4, 5]], np.zeros(5),
                     atol=1e-13)
 
 
 def test_midpoint_newton_failure_carries_residual():
     problem = make_constant_twist_problem(TWIST)
-    with pytest.raises(NewtonConvergenceError, match="did not reach") as info:
-        implicit_midpoint_step(cayley_map(), problem.field, np.eye(4), 0.0,
-                               0.3, max_iters=1)
-    assert info.value.residual > 0.0
+    with pytest.raises(IntegrationError, match="did not reach") as info:
+        integrate(problem, "implicit_midpoint", "cayley", 0.3, 0.3,
+                  max_newton_iters=1)
+    assert isinstance(info.value.__cause__, NewtonConvergenceError)
+    assert info.value.__cause__.residual > 0.0
 
 
 def _spatial_field():
@@ -467,10 +468,19 @@ def test_heavy_top_midpoint_same_with_fallback_jacobian(kind):
 
 
 def test_midpoint_newton_quadratic_convergence():
+    # the first step of a run is cold, full Newton; a run stopped after k
+    # updates reports the residual norm there
     problem = make_heavy_top_problem(momentum0=(0.4, -0.3, 0.8))
-    result = implicit_midpoint_step(cayley_map(), problem.field, np.eye(4),
-                                    0.0, 0.8, newton_tol=1e-14, max_iters=30)
-    residuals = result.residuals
+    residuals = []
+    for max_iters in range(31):
+        try:
+            integrate(problem, "implicit_midpoint", "cayley", 0.8, 0.8,
+                      newton_tol=1e-14, max_newton_iters=max_iters)
+        except IntegrationError as err:
+            residuals.append(err.__cause__.residual)
+        else:
+            break
+    assert len(residuals) <= 30
     checked = 0
     for r_now, r_next in zip(residuals, residuals[1:]):
         if r_now < 1e-3 and r_next > 1e-15:
@@ -525,11 +535,14 @@ def test_warm_start_takes_one_update_after_the_first_step(kind):
 def test_warm_run_matches_cold_replay(kind):
     problem = make_heavy_top_problem(momentum0=(3.0, -2.0, 4.0))
     warm = integrate(problem, "implicit_midpoint", kind, 1e-3, 0.25)
-    cmap = coordinate_map(kind)
     pose, aux = warm.poses[0], warm.aux[0]
-    for k, t in enumerate(warm.times[:-1]):
-        step = implicit_midpoint_step(cmap, problem.field, pose, t, 1e-3, aux)
-        pose, aux = step.pose, step.aux
+    # each replay is a one-step run from the last one's end; the heavy top
+    # does not read t, so every run may start at t = 0
+    for k in range(len(warm.times) - 1):
+        field = dataclasses.replace(problem.field, aux0=aux)
+        step = integrate(Problem("replay", field, pose), "implicit_midpoint",
+                         kind, 1e-3, 1e-3)
+        pose, aux = step.final_pose, step.aux[-1]
         assert np.max(np.abs(pose - warm.poses[k + 1])) <= 1e-10
         assert np.max(np.abs(aux - warm.aux[k + 1])) <= 1e-10
 
@@ -596,10 +609,12 @@ def test_reused_newton_matrix_on_a_moving_translation(kind, h,
     problem = Problem("spatial", _spatial_field(), np.eye(4))
     warm = integrate(problem, "implicit_midpoint", kind, h, 0.5)
     assert warm.newton_iterations.sum() <= full_newton_updates
-    cmap = coordinate_map(kind)
     pose = warm.poses[0]
-    for k, t in enumerate(warm.times[:-1]):
-        pose = implicit_midpoint_step(cmap, problem.field, pose, t, h).pose
+    # the spatial field does not read t, so each one-step replay may start
+    # at t = 0
+    for k in range(len(warm.times) - 1):
+        replay = dataclasses.replace(problem, initial_pose=pose)
+        pose = integrate(replay, "implicit_midpoint", kind, h, h).final_pose
         assert np.max(np.abs(pose - warm.poses[k + 1])) <= 5e-10
 
 
@@ -614,15 +629,11 @@ def test_bad_newton_settings_raise_before_any_step(monkeypatch, name, value):
         raise AssertionError("a step ran")
 
     problem = make_heavy_top_problem()
-    step_name = "max_iters" if name == "max_newton_iters" else name
     with monkeypatch.context() as patch:
         patch.setattr(module, "_midpoint_residual", no_step)
         with pytest.raises(ValueError, match="Newton"):
             integrate(problem, "implicit_midpoint", "cayley", 0.05, 0.5,
                       **{name: value})
-        with pytest.raises(ValueError, match="Newton"):
-            implicit_midpoint_step(cayley_map(), problem.field, np.eye(4),
-                                   0.0, 0.05, **{step_name: value})
     # RK4 and the piecewise rule take no Newton settings
     for method in ("mk_rk4", "piecewise"):
         run = integrate(problem, method, "cayley", 0.05, 0.5, **{name: value})
@@ -636,10 +647,9 @@ def test_zero_newton_updates_accept_only_a_converged_start():
     with pytest.raises(IntegrationError, match="in 0 updates"):
         integrate(problem, "implicit_midpoint", "exponential", 0.25, 1.0,
                   max_newton_iters=0)
-    field = problem.field
-    step = implicit_midpoint_step(exponential_map(), field, np.eye(4), 0.0,
-                                  0.25, max_iters=np.int64(1))
-    assert step.iterations == 1
+    run = integrate(problem, "implicit_midpoint", "exponential", 0.25, 0.25,
+                    max_newton_iters=np.int64(1))
+    assert run.newton_iterations[0] == 1
 
 
 @pytest.mark.parametrize("method", ["mk_rk4", "implicit_midpoint",
@@ -648,17 +658,13 @@ def test_per_run_checks_stay_out_of_the_step(monkeypatch, method):
     module = importlib.import_module("liegroup_maps.integrate")
     calls = []
 
-    def counting(name):
-        original = getattr(module, name)
+    original = module._require_finite_positive
 
-        def wrapper(*args):
-            calls.append(name)
-            return original(*args)
+    def counting(*args):
+        calls.append(args[0])
+        return original(*args)
 
-        return wrapper
-
-    for name in ("_require_finite_positive", "_field_aux"):
-        monkeypatch.setattr(module, name, counting(name))
+    monkeypatch.setattr(module, "_require_finite_positive", counting)
     problem = make_heavy_top_problem(momentum0=(3.0, -2.0, 4.0))
     counts = []
     for n_steps in (1, 100):
@@ -685,9 +691,6 @@ def test_non_finite_step_and_end_time_rejected(bad):
             integrate(problem, method, "exp", bad, 1.0)
         with pytest.raises(ValueError, match=match):
             integrate(problem, method, "exp", 0.1, bad)
-    for stepper in (mk_rk4_step, implicit_midpoint_step):
-        with pytest.raises(ValueError, match=match):
-            stepper(exponential_map(), problem.field, np.eye(4), 0.0, bad)
 
 
 @pytest.mark.parametrize("h, n_steps", [(0.3, 3), (5.0, 1), (0.0204, 49)])
@@ -772,16 +775,14 @@ def test_midpoint_stops_at_first_non_finite_residual():
         calls.append(t)
         return problem.field.rate(t, pose, aux)
 
-    field = dataclasses.replace(problem.field, rate=rate)
-    with pytest.raises(NewtonConvergenceError,
-                       match="non-finite residual") as info:
-        implicit_midpoint_step(cayley_map(), field, np.eye(4), 0.0, 0.01)
-    assert math.isnan(info.value.residual)
-    assert len(calls) == 1
-
-    with pytest.raises(IntegrationError, match="step 1 of") as info:
-        integrate(problem, "implicit_midpoint", "cayley", 0.01, 1.0)
+    counted = dataclasses.replace(
+        problem, field=dataclasses.replace(problem.field, rate=rate))
+    with pytest.raises(IntegrationError,
+                       match="step 1 of .*non-finite residual") as info:
+        integrate(counted, "implicit_midpoint", "cayley", 0.01, 1.0)
     assert isinstance(info.value.__cause__, NewtonConvergenceError)
+    assert math.isnan(info.value.__cause__.residual)
+    assert len(calls) == 1
     partial = info.value.partial
     assert partial.times.shape == (1,)
     assert partial.newton_iterations.shape == (0,)
@@ -793,10 +794,13 @@ def test_midpoint_stops_at_non_finite_aux_rate_past_the_first_entry():
     def rate(t, pose, aux):
         return TWIST, np.array([1.0, math.nan])
 
-    field = TwistField("body", rate, aux0=np.zeros(2))
-    with pytest.raises(NewtonConvergenceError,
-                       match=r"non-finite residual \(nan\) after 0 updates"):
-        implicit_midpoint_step(cayley_map(), field, np.eye(4), 0.0, 0.01)
+    problem = Problem("nan", TwistField("body", rate, aux0=np.zeros(2)),
+                      np.eye(4))
+    with pytest.raises(IntegrationError,
+                       match=r"non-finite residual \(nan\) after 0 updates") \
+            as info:
+        integrate(problem, "implicit_midpoint", "cayley", 0.01, 0.01)
+    assert isinstance(info.value.__cause__, NewtonConvergenceError)
 
 
 def test_orth_drift_keeps_nan():
